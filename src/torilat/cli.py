@@ -17,11 +17,43 @@ from .errors import CapExceededError, InternalError, ValidationError
 from .grading import Degree, ToricSetup, setup_from_beta, setup_from_rays
 
 
+# The integer fields of a problem document, by section: 0 marks an int,
+# 1 a list of ints, 2 a list of integer rows.
+_INT_FIELDS = {
+    "variety": {"rays": 2, "beta": 2, "max_cones": 2},
+    "field": {"q": 0},
+    "task": {"a": 1, "h": 0, "alpha": 1, "point": 1, "alpha1_values": 1,
+             "alpha2_values": 1, "lattice": 2, "generators": 2, "matrix": 2},
+}
+_SHAPES = ("an integer", "a list of integers", "a list of integer rows")
+
+
+def _is_ints(x, depth) -> bool:
+    if depth == 0:
+        return isinstance(x, int) and not isinstance(x, bool)
+    return isinstance(x, list) and all(_is_ints(v, depth - 1) for v in x)
+
+
+def _check_document(doc):
+    """Reject a document whose known fields are not integers of the right
+    shape (bools, floats and strings are not integers) before any of it
+    reaches the library."""
+    if not isinstance(doc, dict):
+        raise ValidationError("problem document must be a JSON object")
+    for section, fields in _INT_FIELDS.items():
+        block = doc.get(section, {})
+        if not isinstance(block, dict):
+            raise ValidationError(f"'{section}' must be a JSON object")
+        for key, depth in fields.items():
+            if key in block and not _is_ints(block[key], depth):
+                raise ValidationError(f"{section}.{key} must be {_SHAPES[depth]}")
+
+
 def _load_setup(doc) -> ToricSetup:
     try:
         variety = doc["variety"]
-        q = int(doc["field"]["q"])
-    except (KeyError, TypeError) as exc:
+        q = doc["field"]["q"]
+    except KeyError as exc:
         raise ValidationError(f"malformed problem document: missing {exc}") from exc
     max_cones = variety.get("max_cones")
     if "rays" in variety and "beta" in variety:
@@ -33,24 +65,13 @@ def _load_setup(doc) -> ToricSetup:
     raise ValidationError("variety needs either 'rays' or 'beta'")
 
 
-def _int_matrix(rows, what, width=None, signed=True):
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise ValidationError(f"{what} must be a list of integer rows")
-    out = []
-    for r in rows:
-        row = []
-        for x in r:
-            if not isinstance(x, int):
-                raise ValidationError(f"{what} has a non-integer entry {x!r}")
-            if not signed and x < 0:
-                raise ValidationError(f"{what} must be nonnegative")
-            row.append(x)
-        out.append(row)
-    if out and width is not None and any(len(r) != width for r in out):
+def _int_matrix(rows, what, width=None):
+    """Rows of a checked document field, of equal length (`width` if given)."""
+    if rows and width is not None and any(len(r) != width for r in rows):
         raise ValidationError(f"{what} rows must have length {width}")
-    if out:
-        intlin.shape(out)
-    return out
+    if rows:
+        intlin.shape(rows)
+    return rows
 
 
 def _lattice_from_task(task, setup):
@@ -60,9 +81,14 @@ def _lattice_from_task(task, setup):
 
 def _alpha_from(args, task, setup) -> Degree:
     if args.alpha is not None:
-        vals = [int(x) for x in args.alpha.split(",")]
+        try:
+            vals = [int(x) for x in args.alpha.split(",")]
+        except ValueError:
+            raise ValidationError(
+                f"--alpha must be comma-separated integers, not {args.alpha!r}"
+            ) from None
     elif "alpha" in task:
-        vals = [int(x) for x in task["alpha"]]
+        vals = task["alpha"]
     else:
         raise ValidationError("no degree given (task 'alpha' or --alpha)")
     if len(vals) != setup.k:
@@ -72,7 +98,7 @@ def _alpha_from(args, task, setup) -> Degree:
 
 def _point_set_from_task(task, setup, args=None):
     if "a" in task:
-        h = int(task.get("h", setup.q - 1))
+        h = task.get("h", setup.q - 1)
         Y, _ = torus.degenerate_torus(list(task["a"]), h, setup)
         return Y
     if "lattice" in task:
@@ -111,7 +137,7 @@ def cmd_degenerate_lattice(args, doc, setup):
     task = doc["task"]
     if "a" not in task:
         raise ValidationError("degenerate-lattice needs the exponent vector 'a'")
-    h = int(task.get("h", setup.q - 1))
+    h = task.get("h", setup.q - 1)
     res = lat.degenerate_lattice(list(task["a"]), h, setup)
     ci = lat.complete_intersection(res.L, setup)
     result = {
@@ -152,8 +178,6 @@ def cmd_torus_ideal(args, doc, setup):
 
 def cmd_subgroup_info(args, doc, setup):
     Y = _point_set_from_task(doc["task"], setup)
-    if not Y.is_group:
-        raise ValidationError("the described point set is not a subgroup")
     gs = torus.group_structure(Y, setup)
     result = {
         "order": len(Y),
@@ -192,8 +216,8 @@ def cmd_hilbert_table(args, doc, setup):
     task = doc["task"]
     Y = _point_set_from_task(task, setup)
     try:
-        first = [int(x) for x in task["alpha1_values"]]
-        second = [int(x) for x in task["alpha2_values"]]
+        first = task["alpha1_values"]
+        second = task["alpha2_values"]
     except KeyError as exc:
         raise ValidationError(f"hilbert-table needs {exc} in the task") from exc
     grid = codes.hilbert_table(Y, first, second, setup)
@@ -209,8 +233,7 @@ def cmd_point_ideal(args, doc, setup):
     task = doc["task"]
     if "point" not in task:
         raise ValidationError("point-ideal needs an exponent vector 'point'")
-    s = [int(x) for x in task["point"]]
-    P = torus.point_from_rep(s, setup)
+    P = torus.point_from_rep(task["point"], setup)
     gens = lat.point_ideal(P, setup)
     result = {
         "point_canonical": list(P.canon),
@@ -261,6 +284,7 @@ def main(argv=None) -> int:
         print(f"error: cannot read problem document: {exc}", file=sys.stderr)
         return 2
     try:
+        _check_document(doc)
         # ci-check is a pure matrix test and works without a variety block
         if args.command == "ci-check" and "variety" not in doc:
             setup = None

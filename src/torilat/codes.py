@@ -14,8 +14,8 @@ from math import gcd
 
 import numpy as np
 
-from .errors import CapExceededError, ValidationError
-from .grading import Degree, ToricSetup, degree_of, monomial_basis, _enumerate_solutions
+from .errors import ValidationError
+from .grading import Degree, ToricSetup, monomial_basis, _enumerate_solutions
 from .torus import PointSet
 
 DEFAULT_MESSAGE_CAP = 10**6
@@ -57,56 +57,39 @@ def evaluation_matrix(Y: PointSet, alpha: Degree, setup: ToricSetup):
     return pow_table[exps], mons, a0
 
 
-def rank_mod_q(mat: np.ndarray, q: int) -> int:
-    """Rank over F_q by exact modular Gaussian elimination."""
+def _echelon(mat: np.ndarray, q: int) -> np.ndarray:
+    """Row-echelon basis of the row space over F_q, pivots scaled to 1,
+    by exact modular Gaussian elimination."""
     A = np.array(mat, dtype=np.int64) % q
     rows, cols = A.shape
     rank = 0
     for c in range(cols):
-        piv = None
-        for i in range(rank, rows):
-            if A[i, c] % q:
-                piv = i
-                break
-        if piv is None:
+        if rank == rows:
+            break
+        nz = np.flatnonzero(A[rank:, c])
+        if nz.size == 0:
             continue
+        piv = rank + nz[0]
         A[[rank, piv]] = A[[piv, rank]]
         inv = pow(int(A[rank, c]), q - 2, q)
         A[rank] = A[rank] * inv % q
-        mask = A[rank + 1 :, c] % q != 0
+        mask = A[rank + 1 :, c] != 0
         if mask.any():
             A[rank + 1 :][mask] = (
                 A[rank + 1 :][mask] - np.outer(A[rank + 1 :, c][mask], A[rank])
             ) % q
         rank += 1
-        if rank == rows:
-            break
-    return rank
+    return A[:rank]
+
+
+def rank_mod_q(mat: np.ndarray, q: int) -> int:
+    """Rank over F_q."""
+    return _echelon(mat, q).shape[0]
 
 
 def row_space_basis(mat: np.ndarray, q: int) -> np.ndarray:
-    """Reduced row basis of the row space over F_q."""
-    A = np.array(mat, dtype=np.int64) % q
-    rows, cols = A.shape
-    rank = 0
-    for c in range(cols):
-        piv = None
-        for i in range(rank, rows):
-            if A[i, c] % q:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[[rank, piv]] = A[[piv, rank]]
-        inv = pow(int(A[rank, c]), q - 2, q)
-        A[rank] = A[rank] * inv % q
-        others = [i for i in range(rows) if i != rank and A[i, c] % q]
-        for i in others:
-            A[i] = (A[i] - A[i, c] * A[rank]) % q
-        rank += 1
-        if rank == rows:
-            break
-    return A[:rank]
+    """Row-echelon basis of the row space over F_q."""
+    return _echelon(mat, q)
 
 
 def hilbert_function(Y: PointSet, alpha: Degree, setup: ToricSetup) -> int:

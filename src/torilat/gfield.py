@@ -2,14 +2,16 @@
 
 The primitive root eta is fixed per q as the smallest one, so every
 exponent-space computation in the rest of the package is deterministic.
-Log tables are built once and shared; q is desk scale (<= ~10^6).
+Log tables are built once and shared; q is desk scale (<= 10^6).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
+
+FIELD_SIZE_CAP = 10**6
 
 
 def is_prime(q: int) -> bool:
@@ -59,6 +61,9 @@ class PrimeField:
     """F_q with a fixed primitive root and a full discrete-log table."""
 
     def __init__(self, q: int):
+        # checked before trial division and the length-q tables
+        if q > FIELD_SIZE_CAP:
+            raise CapExceededError(f"field size {q} exceeds cap {FIELD_SIZE_CAP}")
         if not is_prime(q):
             raise ValidationError(f"field size {q} is not prime")
         self.q = q

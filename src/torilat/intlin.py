@@ -10,7 +10,6 @@ fresh matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import InternalError, ValidationError
 
@@ -27,10 +26,6 @@ def shape(M: IntMatrix) -> tuple[int, int]:
 
 def identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zeros(m: int, n: int) -> IntMatrix:
-    return [[0] * n for _ in range(m)]
 
 
 def copy_matrix(M: IntMatrix) -> IntMatrix:
@@ -68,37 +63,6 @@ def from_columns(cols: list, nrows: int | None = None) -> IntMatrix:
         return [[] for _ in range(nrows or 0)]
     m = len(cols[0])
     return [[c[i] for c in cols] for i in range(m)]
-
-
-def det_sign_unimodular(U: IntMatrix) -> int:
-    """Determinant of a square matrix via fraction-free elimination.
-
-    Used only to confirm |det U| = 1 in tests and invariants.
-    """
-    m, n = shape(U)
-    if m != n:
-        raise ValidationError("determinant of a non-square matrix")
-    A = copy_matrix(U)
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if A[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            det = -det
-        # clear below with exact rational-free steps (Bareiss-like, but
-        # plain fraction elimination is fine at these sizes)
-        for i in range(c + 1, n):
-            while A[i][c] != 0:
-                if abs(A[i][c]) < abs(A[c][c]):
-                    A[c], A[i] = A[i], A[c]
-                    det = -det
-                q = A[i][c] // A[c][c]
-                for j in range(n):
-                    A[i][j] -= q * A[c][j]
-        det *= A[c][c]
-    return det
 
 
 def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -418,34 +382,3 @@ class HermiteReducer:
 
     def contains(self, v: list) -> bool:
         return not any(self.reduce(v))
-
-
-def gcd_of_minors(M: IntMatrix, k: int) -> int:
-    """GCD of all k x k minors (0 if all vanish).  Brute-force oracle for
-    SNF invariants; only used on small matrices in tests."""
-    from itertools import combinations
-
-    m, n = shape(M)
-    if k == 0:
-        return 1
-    g = 0
-    for rows in combinations(range(m), k):
-        for cols in combinations(range(n), k):
-            sub = [[M[i][j] for j in cols] for i in rows]
-            g = gcd(g, _det(sub))
-    return abs(g)
-
-
-def _det(A: IntMatrix) -> int:
-    n = len(A)
-    if n == 1:
-        return A[0][0]
-    if n == 2:
-        return A[0][0] * A[1][1] - A[0][1] * A[1][0]
-    total = 0
-    for j in range(n):
-        if A[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in A[1:]]
-        total += (-1) ** j * A[0][j] * _det(minor)
-    return total

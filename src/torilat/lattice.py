@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import intlin
-from .errors import InternalError, ValidationError
+from .errors import ValidationError
 from .grading import Degree, ToricSetup, is_homogeneous, monomial_basis, positive_functional
-from .torus import TorusPoint
+from .torus import TorusPoint, _zero_set_exponents
 
 
 @dataclass(frozen=True)
@@ -111,23 +111,10 @@ def parameterize_zero_set(L, setup: ToricSetup):
     """
     if not is_homogeneous(L, setup):
         raise ValidationError("lattice is not homogeneous")
-    r = setup.r
-    q = setup.q
     cols = intlin.columns(L)
-    ell = len(cols)
-    if ell == 0:
-        return intlin.identity(r)
-    if ell > r:
+    if len(cols) > setup.r:
         raise ValidationError("lattice rank exceeds the ambient rank")
-    BL = [
-        list(cols[j]) + [(q - 1) if i == j else 0 for i in range(ell)]
-        for j in range(ell)
-    ]
-    AL = intlin.integer_kernel(BL)
-    _, ncols = intlin.shape(AL)
-    if ncols != r:
-        raise InternalError("kernel of B_L has unexpected rank")
-    return [AL[i] for i in range(r)]
+    return _zero_set_exponents(cols, setup.q - 1, setup.r)
 
 
 @dataclass(frozen=True)

@@ -4,21 +4,25 @@ A point with exponent representative s (coordinates eta^{s_1}, ...,
 eta^{s_r}) is classified by its canonical form phi^T s mod q-1; two
 representatives give the same point of T_X iff their canonical forms
 agree.  All set operations are linear algebra mod q-1.
+
+A subgroup of T_X is, in canonical forms, a lattice Lambda with
+(q-1)Z^n <= Lambda <= Z^n.  Every constructor here names generators of
+its subgroup and builds the points from the Hermite basis of Lambda; the
+order comes from that basis, so the cap is checked before any point is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import gcd
+from math import gcd, prod
+
+import numpy as np
 
 from . import intlin
 from .errors import CapExceededError, InternalError, ValidationError
-from .grading import ToricSetup
+from .grading import ToricSetup, is_homogeneous
 
 TORUS_ENUM_CAP = 10**6
-PARAM_ENUM_CAP = 10**7
-_GROUP_VERIFY_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -108,102 +112,102 @@ def identity_point(setup: ToricSetup) -> TorusPoint:
     return TorusPoint(canon=(0,) * setup.n, rep=(0,) * setup.r)
 
 
-def _add(p: TorusPoint, q: TorusPoint, qm: int) -> TorusPoint:
-    return TorusPoint(
-        canon=tuple((a + b) % qm for a, b in zip(p.canon, q.canon)),
-        rep=tuple((a + b) % qm for a, b in zip(p.rep, q.rep)),
-    )
+def _subgroup(reps, setup: ToricSetup) -> PointSet:
+    """The subgroup of T_X generated by the points with exponent
+    representatives `reps`.
 
-
-def _verify_group(points, qm) -> bool:
-    canons = {p.canon for p in points}
-    if (0,) * len(next(iter(canons))) not in canons:
-        return False
-    if len(points) ** 2 > _GROUP_VERIFY_CAP**2:
-        # desk-scale sets are always below this; trust the construction
-        return True
-    for a in points:
-        for b in points:
-            if tuple((x + y) % qm for x, y in zip(a.canon, b.canon)) not in canons:
-                return False
-    return True
+    In canonical forms the subgroup is the lattice Lambda spanned by the
+    generators and (q-1)Z^n.  The column Hermite form of [generators |
+    (q-1)I] gives its lower-triangular basis B, so |Lambda / (q-1)Z^n| =
+    prod (q-1)/B_ii is checked against the cap before any point exists.
+    The transform W writes each basis column as an integer combination of
+    the generators; the same combination of their representatives (the
+    (q-1)e_j contribute the identity) represents that column.  The points
+    are then sum_i x_i B_i with 0 <= x_i < (q-1)/B_ii, each exactly once.
+    """
+    qm = setup.q - 1
+    n, r = setup.n, setup.r
+    reps = [[x % qm for x in s] for s in reps]
+    cols = [list(canonical_form(s, setup)) for s in reps]
+    cols += [[qm if i == j else 0 for i in range(n)] for j in range(n)]
+    reps += [[0] * r] * n
+    H, W = intlin.column_hnf(intlin.from_columns(cols, n))
+    orders = [qm // H[j][j] for j in range(n)]
+    total = prod(orders)
+    if total > TORUS_ENUM_CAP:
+        raise CapExceededError(
+            f"subgroup has {total} points, cap is {TORUS_ENUM_CAP}"
+        )
+    # entries stay below (q-1)^2 <= 10^12 (q is capped at 10^6), far
+    # inside int64
+    canon = np.zeros((1, n), dtype=np.int64)
+    rep = np.zeros((1, r), dtype=np.int64)
+    for j, order in enumerate(orders):
+        col = np.array([H[i][j] % qm for i in range(n)], dtype=np.int64)
+        col_rep = np.array(
+            [sum(W[k][j] * s[i] for k, s in enumerate(reps)) % qm
+             for i in range(r)],
+            dtype=np.int64,
+        )
+        x = np.arange(order, dtype=np.int64)[:, None, None]
+        canon = ((canon + x * col) % qm).reshape(-1, n)
+        rep = ((rep + x * col_rep) % qm).reshape(-1, r)
+    pts = [
+        TorusPoint(canon=tuple(c), rep=tuple(s))
+        for c, s in zip(canon.tolist(), rep.tolist())
+    ]
+    return PointSet(pts, is_group=True)
 
 
 def all_torus_points(setup: ToricSetup) -> PointSet:
-    """All (q-1)^n points of T_X, one representative each."""
-    qm = setup.q - 1
-    if qm**setup.n > TORUS_ENUM_CAP:
-        raise CapExceededError(
-            f"torus has (q-1)^n = {qm ** setup.n} points, cap is {TORUS_ENUM_CAP}"
-        )
-    pts = [point_from_canon(c, setup) for c in product(range(qm), repeat=setup.n)]
-    return PointSet(pts, is_group=True)
+    """All points of T_X, one representative each: the subgroup generated
+    by the coordinate points e_j.  (q-1)^n points when the class group is
+    torsion free."""
+    return _subgroup(intlin.identity(setup.r), setup)
 
 
 def points_from_parameterization(Q, h, setup: ToricSetup) -> PointSet:
     """Y_{Q,H} for the order-h subgroup H of F_q*: the set of points whose
-    j-th coordinate is t_1^{Q[0][j]} ... t_s^{Q[s-1][j]} with t_i in H."""
+    j-th coordinate is t_1^{Q[0][j]} ... t_s^{Q[s-1][j]} with t_i in H.
+    With H generated by eta^((q-1)/h), this is the subgroup generated by
+    the rows of ((q-1)/h) Q."""
     qm = setup.q - 1
     if h <= 0 or qm % h != 0:
         raise ValidationError(f"subgroup order {h} does not divide q-1 = {qm}")
-    s_rows = len(Q)
-    if s_rows and len(Q[0]) != setup.r:
+    if Q and len(Q[0]) != setup.r:
         raise ValidationError("parameterization matrix has wrong column count")
-    if h**s_rows > PARAM_ENUM_CAP:
-        raise CapExceededError(
-            f"parameter enumeration h^s = {h ** s_rows} exceeds cap {PARAM_ENUM_CAP}"
-        )
     step = qm // h
-    pts = []
-    for lam in product(range(h), repeat=s_rows):
-        svec = [
-            step * sum(lam[i] * Q[i][j] for i in range(s_rows))
-            for j in range(setup.r)
-        ]
-        pts.append(point_from_rep([x % qm for x in svec], setup))
-    out = PointSet(pts)
-    out.is_group = _verify_group(out.points, qm)
-    return out
+    return _subgroup([[step * x for x in row] for row in Q], setup)
+
+
+def _zero_set_exponents(cols, qm: int, r: int):
+    """r x r matrix whose columns generate {s in Z^r : s . b = 0 mod q-1
+    for every b in cols}: the first r rows of an integer kernel basis of
+    B_L, whose rows are [b_j, (q-1)e_j]."""
+    ell = len(cols)
+    if ell == 0:
+        return intlin.identity(r)
+    BL = [
+        list(cols[j]) + [qm if i == j else 0 for i in range(ell)]
+        for j in range(ell)
+    ]
+    AL = intlin.integer_kernel(BL)
+    return [AL[i] for i in range(r)]
 
 
 def zero_set_in_torus(L, setup: ToricSetup) -> PointSet:
     """Points of T_X where every basis binomial of the homogeneous
-    lattice L vanishes: s . b = 0 mod q-1 for each basis column b."""
-    from .grading import is_homogeneous
-
+    lattice L vanishes: s . b = 0 mod q-1 for each basis column b.  Built
+    as the subgroup generated by the columns of the B_L kernel."""
     if not is_homogeneous(L, setup):
         raise ValidationError("lattice is not homogeneous")
-    qm = setup.q - 1
-    basis = intlin.columns(L)
-    pts = []
-    for p in all_torus_points(setup):
-        if all(sum(a * b for a, b in zip(p.rep, col)) % qm == 0 for col in basis):
-            pts.append(p)
-    out = PointSet(pts)
-    out.is_group = _verify_group(out.points, qm)
-    return out
+    A = _zero_set_exponents(intlin.columns(L), setup.q - 1, setup.r)
+    return _subgroup(intlin.columns(A), setup)
 
 
 def subgroup_closure(generators, setup: ToricSetup) -> PointSet:
-    """Smallest subgroup of T_X containing the generators (BFS closure
-    under coordinatewise product, i.e. canonical-form addition)."""
-    qm = setup.q - 1
-    one = identity_point(setup)
-    seen = {one.canon: one}
-    frontier = [one]
-    gens = [point_from_rep([x % qm for x in g.rep], setup) for g in generators]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                s = _add(p, g, qm)
-                if s.canon not in seen:
-                    seen[s.canon] = s
-                    nxt.append(s)
-        frontier = nxt
-        if len(seen) > TORUS_ENUM_CAP:
-            raise CapExceededError("subgroup closure exceeded the torus cap")
-    return PointSet(seen.values(), is_group=True)
+    """Smallest subgroup of T_X containing the generators."""
+    return _subgroup([list(g.rep) for g in generators], setup)
 
 
 @dataclass(frozen=True)
@@ -217,17 +221,28 @@ class GroupStructure:
     h: int  # order of the coefficient subgroup of F_q*
 
 
-def group_structure(Y: PointSet, setup: ToricSetup) -> GroupStructure:
-    """Cyclic decomposition of a subgroup Y and a (Q, h) with
-    points_from_parameterization(Q, h) == Y."""
+def _exponent_lattice(Y: PointSet, setup: ToricSetup):
+    """(B, C) for a subgroup Y: B is the column Hermite basis of its
+    canonical-form lattice Lambda, C = B^{-1} (q-1) I.
+
+    B is built from Y's own points, inserting a point only when it lies
+    outside the span so far; each insertion at least doubles the span, so
+    there are at most log2|Y| of them, each an HNF of n+1 columns.
+    """
     if not Y.is_group:
         raise ValidationError("point set is not a verified subgroup")
     qm = setup.q - 1
     n = setup.n
-    cols = [list(p.canon) for p in Y] + intlin.columns(
+    reducer = intlin.HermiteReducer.from_basis(
         [[qm if i == j else 0 for j in range(n)] for i in range(n)]
     )
-    B = intlin.column_hermite_basis(intlin.from_columns(cols, n))
+    for p in Y:
+        if not reducer.contains(p.canon):
+            cols = [list(c) for c in reducer.basis] + [list(p.canon)]
+            reducer = intlin.HermiteReducer.from_basis(intlin.from_columns(cols))
+    B = intlin.from_columns([list(c) for c in reducer.basis], n)
+    if prod(qm // B[i][i] for i in range(n)) != len(Y):
+        raise InternalError("group order mismatch in cyclic decomposition")
     # (q-1)Z^n inside the lattice spanned by B: columns of C = B^{-1} (q-1)I
     Ccols = []
     for i in range(n):
@@ -236,7 +251,15 @@ def group_structure(Y: PointSet, setup: ToricSetup) -> GroupStructure:
         if x is None:
             raise InternalError("(q-1)Z^n not inside the generated lattice")
         Ccols.append(x)
-    C = intlin.from_columns(Ccols, n)
+    return B, intlin.from_columns(Ccols, n)
+
+
+def group_structure(Y: PointSet, setup: ToricSetup) -> GroupStructure:
+    """Cyclic decomposition of a subgroup Y and a (Q, h) with
+    points_from_parameterization(Q, h) == Y."""
+    qm = setup.q - 1
+    n = setup.n
+    B, C = _exponent_lattice(Y, setup)
     res = intlin.snf(C)
     Uinv = intlin.inverse_unimodular(res.U)
     orders = []
@@ -249,11 +272,6 @@ def group_structure(Y: PointSet, setup: ToricSetup) -> GroupStructure:
         g = [v % qm for v in intlin.mat_vec(B, x)]
         orders.append(d)
         gens.append(point_from_canon(g, setup))
-    total = 1
-    for i in range(n):
-        total *= res.S[i][i]
-    if total != len(Y):
-        raise InternalError("group order mismatch in cyclic decomposition")
     if gens:
         g_all = gcd(qm, *(x for p in gens for x in p.rep))
         h = qm // g_all
@@ -299,24 +317,10 @@ def vanishing_lattice(Y: PointSet, setup: ToricSetup):
     """The lattice L(Y) = {m in L_beta : s_P . m = 0 mod q-1 for all P}.
 
     By the subgroup/lattice correspondence, I(Y) = I_{L(Y)} for subgroups
-    Y.  Computed from a generating set of Y, so Y must be a group.
+    Y.  With m = phi u, s_P . m = canon(P) . u, so L(Y) is phi applied to
+    the dual {u : B^T u in (q-1)Z^n} = C^T Z^n of Y's exponent lattice.
     """
-    if not Y.is_group:
-        raise ValidationError("vanishing lattice needs a subgroup")
-    qm = setup.q - 1
-    gs = group_structure(Y, setup)
-    reps = [list(p.rep) for p in gs.generators]
-    k = setup.k
-    t = len(reps)
-    # unknowns: m (r) and one slack per generator; rows: beta m = 0 and
-    # s_i . m - (q-1) c_i = 0
-    rows = []
-    for i in range(k):
-        rows.append(list(setup.beta_free[i]) + [0] * t)
-    for i, s in enumerate(reps):
-        rows.append(list(s) + [-(qm) if j == i else 0 for j in range(t)])
-    if not rows:
-        return intlin.column_hermite_basis(setup.phi_columns_matrix())
-    K = intlin.integer_kernel(rows)
-    cols = [c[: setup.r] for c in intlin.columns(K)]
-    return intlin.column_hermite_basis(intlin.from_columns(cols, setup.r))
+    _, C = _exponent_lattice(Y, setup)
+    return intlin.column_hermite_basis(
+        intlin.mat_mul(setup.phi, intlin.transpose(C))
+    )

@@ -1,0 +1,163 @@
+"""Slow, independent oracles that the library's fast paths are tested
+against.  None of this is library code: each routine is the direct
+brute-force definition of what a library function computes.
+
+Integer matrices: determinants by elimination and by cofactor expansion,
+and the gcd of k x k minors (whose running products are the Smith
+invariants).  Matrices over F_q: rank by plain-list Gaussian elimination.
+
+Torus subgroups: the point-by-point constructions that the lattice path
+in `torilat.torus` replaced — a sweep of every canonical form, a sweep of
+every parameter tuple, a filter of the whole torus, a breadth-first
+closure, and an O(|Y|^2) closure check.
+"""
+
+from itertools import combinations, product
+from math import gcd
+
+from torilat import intlin
+from torilat.torus import PointSet, identity_point, point_from_canon, point_from_rep
+
+
+def det(U):
+    """Determinant of a square matrix by integer row elimination."""
+    m, n = intlin.shape(U)
+    assert m == n, "determinant of a non-square matrix"
+    A = intlin.copy_matrix(U)
+    d = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if A[i][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            A[c], A[piv] = A[piv], A[c]
+            d = -d
+        # Euclid on the column: swap the smaller entry up, subtract
+        for i in range(c + 1, n):
+            while A[i][c] != 0:
+                if abs(A[i][c]) < abs(A[c][c]):
+                    A[c], A[i] = A[i], A[c]
+                    d = -d
+                q = A[i][c] // A[c][c]
+                for j in range(n):
+                    A[i][j] -= q * A[c][j]
+        d *= A[c][c]
+    return d
+
+
+def cofactor_det(A):
+    n = len(A)
+    if n == 1:
+        return A[0][0]
+    if n == 2:
+        return A[0][0] * A[1][1] - A[0][1] * A[1][0]
+    total = 0
+    for j in range(n):
+        if A[0][j] == 0:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in A[1:]]
+        total += (-1) ** j * A[0][j] * cofactor_det(minor)
+    return total
+
+
+def gcd_of_minors(M, k):
+    """GCD of all k x k minors (0 if all vanish)."""
+    m, n = intlin.shape(M)
+    if k == 0:
+        return 1
+    g = 0
+    for rows in combinations(range(m), k):
+        for cols in combinations(range(n), k):
+            sub = [[M[i][j] for j in cols] for i in rows]
+            g = gcd(g, cofactor_det(sub))
+    return abs(g)
+
+
+def rank_mod_q(rows, q):
+    """Rank over F_q, one Python int at a time."""
+    A = [[x % q for x in row] for row in rows]
+    rank = 0
+    for c in range(len(A[0]) if A else 0):
+        piv = next((i for i in range(rank, len(A)) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        inv = pow(A[rank][c], q - 2, q)
+        for i in range(rank + 1, len(A)):
+            f = A[i][c] * inv % q
+            A[i] = [(a - f * b) % q for a, b in zip(A[i], A[rank])]
+        rank += 1
+    return rank
+
+
+# torus subgroups ------------------------------------------------------
+
+
+def sweep_torus(setup):
+    """Every canonical form in (Z/(q-1))^n, one solve per point.  Needs a
+    torsion-free grading (an integer right inverse of phi^T)."""
+    qm = setup.q - 1
+    return PointSet(
+        point_from_canon(c, setup) for c in product(range(qm), repeat=setup.n)
+    )
+
+
+def sweep_parameterization(Q, h, setup):
+    """Y_{Q,H} by its definition: one point per tuple in H^s."""
+    qm = setup.q - 1
+    step = qm // h
+    pts = []
+    for lam in product(range(h), repeat=len(Q)):
+        s = [
+            step * sum(lam[i] * Q[i][j] for i in range(len(Q)))
+            for j in range(setup.r)
+        ]
+        pts.append(point_from_rep([x % qm for x in s], setup))
+    return PointSet(pts)
+
+
+def sweep_zero_set(L, setup):
+    """The points of `sweep_torus` at which every column b of L gives
+    s . b = 0 mod q-1."""
+    qm = setup.q - 1
+    basis = intlin.columns(L)
+    return PointSet(
+        p
+        for p in sweep_torus(setup)
+        if all(sum(a * b for a, b in zip(p.rep, col)) % qm == 0 for col in basis)
+    )
+
+
+def bfs_closure(generators, setup):
+    """Breadth-first closure of the generators under canonical-form
+    addition, starting from the identity."""
+    qm = setup.q - 1
+    one = identity_point(setup)
+    seen = {one.canon: one}
+    frontier = [one]
+    gens = [point_from_rep([x % qm for x in g.rep], setup) for g in generators]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                s = point_from_rep(
+                    [(a + b) % qm for a, b in zip(p.rep, g.rep)], setup
+                )
+                if s.canon not in seen:
+                    seen[s.canon] = s
+                    nxt.append(s)
+        frontier = nxt
+    return PointSet(seen.values())
+
+
+def is_closed_group(Y, setup):
+    """Y holds the identity and every sum of two of its points."""
+    qm = setup.q - 1
+    canons = Y.canon_set()
+    if identity_point(setup).canon not in canons:
+        return False
+    return all(
+        tuple((x + y) % qm for x, y in zip(a.canon, b.canon)) in canons
+        for a in Y
+        for b in Y
+    )

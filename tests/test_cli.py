@@ -1,11 +1,14 @@
 """Command-line behavior: dispatch, JSON output, exit codes, stability."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import DATA
-from torilat.cli import main
+from conftest import DATA, load_json
+from torilat.cli import COMMANDS, main
 
 
 def run(capsys, *argv):
@@ -201,3 +204,101 @@ class TestOutputsAndErrors:
         f.write_text(json.dumps(doc))
         code, _, _ = run(capsys, "torus-ideal", str(f))
         assert code == 2
+
+
+H2_DOC = {
+    "variety": {
+        "rays": [[1, 0], [0, 1], [-1, 2], [0, -1]],
+        "beta": [[1, -2, 1, 0], [0, 1, 0, 1]],
+    },
+    "field": {"q": 11},
+    "task": {"a": [2, 5, 4, 5], "h": 10, "alpha": [5, 10]},
+}
+
+
+def with_leaf(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestInputContract:
+    """Every malformed document exits 2 with a message, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, doc, extra, message",
+        [
+            ("subgroup-info", with_leaf(H2_DOC, ["task", "h"], "x"), [],
+             "task.h must be an integer"),
+            ("code", H2_DOC, ["--alpha", "5,x"], "--alpha"),
+            ("point-ideal", with_leaf(H2_DOC, ["task", "point"], [1, "a", 0, 0]),
+             [], "task.point"),
+            ("torus-ideal", with_leaf(H2_DOC, ["variety", "rays", 0, 0], 1.5), [],
+             "variety.rays"),
+            ("subgroup-info", [H2_DOC], [], "must be a JSON object"),
+            ("torus-ideal", with_leaf(H2_DOC, ["field", "q"], True), [],
+             "field.q"),
+            ("torus-ideal", with_leaf(H2_DOC, ["field", "q"], 11.0), [],
+             "field.q"),
+            ("code", with_leaf(H2_DOC, ["task", "alpha"], [5, "10"]), [],
+             "task.alpha"),
+            ("subgroup-info", with_leaf(H2_DOC, ["task", "a", 2], False), [],
+             "task.a"),
+            ("torus-ideal", with_leaf(H2_DOC, ["variety", "beta"], [1, -2]), [],
+             "variety.beta"),
+            ("torus-ideal", with_leaf(H2_DOC, ["task"], [1]), [], "'task'"),
+        ],
+        ids=["h_str", "alpha_flag", "point_str", "float_ray", "top_level_list",
+             "q_bool", "q_float", "alpha_str", "a_bool", "beta_flat",
+             "task_list"],
+    )
+    def test_exit_2(self, capsys, tmp_path, command, doc, extra, message):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(f), *extra)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @given(
+        st.sampled_from(["h2_a2455.json", "h2_a5254.json", "h2_q11.json",
+                         "p113_q11.json", "ci_8x2.json",
+                         "hilbert_table_6x18.json"]),
+        st.data(),
+        st.sampled_from(sorted(COMMANDS)),
+    )
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_one_non_integer_leaf(self, capsys, tmp_path, name, data, command):
+        doc = load_json(name)
+        leaves = []
+
+        def walk(node, path):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in items:
+                if isinstance(value, (dict, list)):
+                    walk(value, path + [key])
+                else:
+                    leaves.append(path + [key])
+
+        walk(doc, [])
+        path = data.draw(st.sampled_from(leaves))
+        value = data.draw(st.sampled_from([1.5, 2.0, "x", "3", True, None, [], {}]))
+        f = tmp_path / "fuzz.json"
+        f.write_text(json.dumps(with_leaf(doc, path, value)))
+        code = main([command, str(f)])
+        capsys.readouterr()
+        assert code in (0, 2, 3, 4)
+
+
+class TestFieldSizeCap:
+    def test_q_above_cap_exits_3(self, capsys, tmp_path):
+        f = tmp_path / "bigq.json"
+        f.write_text(json.dumps(with_leaf(H2_DOC, ["field", "q"], 2**31 - 1)))
+        code, out, err = run(capsys, "torus-ideal", str(f))
+        assert code == 3
+        assert out == ""
+        assert "cap" in err

@@ -4,7 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+import oracles
 from conftest import load_json, make_h2
 from torilat.codes import (
     code_parameters,
@@ -46,6 +49,27 @@ class TestRank:
         assert rank_mod_q(B, 11) == rank_mod_q(A, 11) == B.shape[0]
         stacked = np.vstack([A, B])
         assert rank_mod_q(stacked, 11) == B.shape[0]
+
+    @given(hst.sampled_from([2, 3, 5, 7, 11]), hst.integers(1, 6),
+           hst.integers(1, 7), hst.data())
+    @settings(max_examples=100, deadline=None)
+    def test_echelon_against_list_elimination(self, q, m, n, data):
+        rows = data.draw(hst.lists(
+            hst.lists(hst.integers(-20, 20), min_size=n, max_size=n),
+            min_size=m, max_size=m,
+        ))
+        A = np.array(rows, dtype=np.int64)
+        rank = oracles.rank_mod_q(rows, q)
+        assert rank_mod_q(A, q) == rank
+        B = row_space_basis(A, q)
+        assert B.shape[0] == rank
+        assert oracles.rank_mod_q(B.tolist() + rows, q) == rank
+        # row echelon: each leading entry is 1, right of the one above,
+        # with zeros below it
+        leads = [int(np.flatnonzero(row)[0]) for row in B]
+        assert leads == sorted(set(leads))
+        for i, c in enumerate(leads):
+            assert B[i, c] == 1 and not B[i + 1 :, c].any()
 
 
 class TestEvaluationMatrix:

@@ -2,8 +2,9 @@
 
 import pytest
 
-from torilat.errors import ValidationError
-from torilat.gfield import PrimeField, is_prime, primitive_root
+from conftest import make_h2
+from torilat.errors import CapExceededError, ValidationError
+from torilat.gfield import FIELD_SIZE_CAP, PrimeField, is_prime, primitive_root
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -58,3 +59,14 @@ def test_log_of_zero_rejected():
         f.discrete_log(0)
     with pytest.raises(ValidationError):
         f.inv(0)
+
+
+@pytest.mark.parametrize("q", [2**31 - 1, 1000003])
+def test_field_size_cap_checked_before_the_tables(q):
+    # both are primes above the cap; the check comes before trial
+    # division and before any length-q table
+    assert q > FIELD_SIZE_CAP
+    with pytest.raises(CapExceededError):
+        PrimeField(q)
+    with pytest.raises(CapExceededError):
+        make_h2(q=q)

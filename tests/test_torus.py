@@ -1,11 +1,16 @@
 """Torus points, canonical forms, subgroups and their structure."""
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+import oracles
 from conftest import make_h2, make_p113, random_homogeneous_lattice, rows_to_lattice
 from torilat import intlin
+from torilat.grading import setup_from_rays
 from torilat.errors import CapExceededError, ValidationError
 from torilat.torus import (
     PointSet,
@@ -205,3 +210,130 @@ class TestZeroSet:
     def test_inhomogeneous_rejected(self, h2):
         with pytest.raises(ValidationError):
             zero_set_in_torus(rows_to_lattice([[1, 0, 0, 0]], 4), h2)
+
+
+# The lattice path against the point-by-point oracles -------------------
+
+FIELDS = [5, 7, 11, 13]
+
+
+@lru_cache(maxsize=None)
+def setup_for(variety, q):
+    return make_h2(q=q) if variety == "h2" else make_p113(q=q)
+
+
+setups = hst.builds(
+    setup_for, hst.sampled_from(["h2", "p113"]), hst.sampled_from(FIELDS)
+)
+exponents = hst.integers(min_value=-15, max_value=15)
+
+
+def exponent_rows(st, max_rows):
+    return hst.lists(
+        hst.lists(exponents, min_size=st.r, max_size=st.r), max_size=max_rows
+    )
+
+
+def assert_subgroup(Y, st):
+    """Y claims to be a group, and every stored representative
+    represents its own point."""
+    assert Y.is_group
+    assert all(point_from_rep(p.rep, st).canon == p.canon for p in Y)
+    if len(Y) <= 200:
+        assert oracles.is_closed_group(Y, st)
+
+
+class TestAgainstOracles:
+    @given(setups, hst.data())
+    @settings(max_examples=40, deadline=None)
+    def test_parameterization_matches_the_tuple_sweep(self, st, data):
+        h = data.draw(hst.sampled_from(
+            [d for d in range(1, st.q) if (st.q - 1) % d == 0]
+        ))
+        Q = data.draw(exponent_rows(st, 3))
+        Y = points_from_parameterization(Q, h, st)
+        assert Y == oracles.sweep_parameterization(Q, h, st)
+        assert_subgroup(Y, st)
+
+    @given(setups, hst.data())
+    @settings(max_examples=40, deadline=None)
+    def test_closure_matches_the_bfs(self, st, data):
+        reps = data.draw(exponent_rows(st, 3))
+        gens = [point_from_rep(s, st) for s in reps]
+        Y = subgroup_closure(gens, st)
+        assert Y == oracles.bfs_closure(gens, st)
+        assert_subgroup(Y, st)
+
+    @given(setups, hst.integers(0, 2**32), hst.integers(0, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_zero_set_matches_the_filtered_sweep(self, st, seed, extra):
+        # up to extra + n = 7 columns: more than r = 4, which
+        # parameterize_zero_set rejects but the zero set accepts
+        rng = random.Random(seed)
+        L = random_homogeneous_lattice(
+            st, rng, extra=extra, contain_full=rng.random() < 0.5
+        )
+        Y = zero_set_in_torus(L, st)
+        assert Y == oracles.sweep_zero_set(L, st)
+        assert_subgroup(Y, st)
+
+    @pytest.mark.parametrize("variety", ["h2", "p113"])
+    @pytest.mark.parametrize("q", FIELDS)
+    def test_full_torus_matches_the_canonical_sweep(self, variety, q):
+        st = setup_for(variety, q)
+        Y = all_torus_points(st)
+        assert Y == oracles.sweep_torus(st)
+        assert_subgroup(Y, st)
+
+    @given(setups, hst.data())
+    @settings(max_examples=30, deadline=None)
+    def test_vanishing_lattice_cuts_out_the_subgroup(self, st, data):
+        reps = data.draw(exponent_rows(st, 2))
+        Y = subgroup_closure([point_from_rep(s, st) for s in reps], st)
+        assert zero_set_in_torus(vanishing_lattice(Y, st), st) == Y
+
+    def test_zero_set_above_two_thousand_points(self):
+        # 2178 of the 4356 points of T_X at q = 67: the half with even
+        # first canonical coordinate.  Also a set of this size at q = 61:
+        # the whole 3600-point torus from a five-column basis.
+        for q, cols, size in [
+            (67, [[33, 0, -33, 0], [0, 66, 132, -66]], 2178),
+            (61, [[60, 0, -60, 0], [0, 60, 120, -60], [60, 60, 60, -60],
+                  [120, 0, -120, 0], [0, 0, 0, 0]], 3600),
+        ]:
+            st = make_h2(q=q)
+            L = intlin.from_columns(cols, 4)
+            Y = zero_set_in_torus(L, st)
+            assert len(Y) == size
+            assert Y == oracles.sweep_zero_set(L, st)
+            assert_subgroup(Y, st)
+
+
+class TestTorsion:
+    """Rays whose class group has torsion Z/2: no integer right inverse of
+    phi^T exists, and the sizes below are the ones the tuple sweep and
+    BFS gave."""
+
+    @pytest.fixture(scope="class")
+    def st(self):
+        return setup_from_rays([[1, 1], [1, -1], [-1, -1], [-1, 1]], 7)
+
+    def test_frozen_orders(self, st):
+        Y, _ = degenerate_torus([1, 1, 1, 1], 6, st)
+        assert len(Y) == 18
+        assert len(subgroup_closure([point_from_rep([1, 0, 0, 0], st)], st)) == 6
+        assert len(points_from_parameterization(
+            [[1, 0, 0, 0], [0, 1, 0, 0]], 6, st)) == 18
+
+    def test_constructors_agree_with_the_sweeps(self, st):
+        Y, _ = degenerate_torus([1, 1, 1, 1], 6, st)
+        diag = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+        assert Y == oracles.sweep_parameterization(diag, 6, st)
+        assert Y == all_torus_points(st)
+        g = [point_from_rep([1, 0, 0, 0], st)]
+        assert subgroup_closure(g, st) == oracles.bfs_closure(g, st)
+        assert_subgroup(Y, st)
+
+    def test_vanishing_lattice_cuts_out_the_subgroup(self, st):
+        Y = subgroup_closure([point_from_rep([1, 2, 0, 0], st)], st)
+        assert zero_set_in_torus(vanishing_lattice(Y, st), st) == Y
