@@ -10,13 +10,12 @@ residues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
 from .errors import ValidationError
 from .grading import Degree, ToricSetup, monomial_basis, _enumerate_solutions
-from .torus import PointSet
+from .torus import PointSet, _diagonal_orders
 
 DEFAULT_MESSAGE_CAP = 10**6
 
@@ -135,10 +134,7 @@ def injectivity_check(a, h, alpha: Degree, setup: ToricSetup) -> bool:
     time.  Use injectivity_exact for a decision, or
     injectivity_certified for a provable sufficient condition.
     """
-    qm = setup.q - 1
-    if h <= 0 or qm % h != 0:
-        raise ValidationError(f"subgroup order {h} does not divide q-1 = {qm}")
-    d = [h // gcd(h, abs(ai)) for ai in a]
+    d = _diagonal_orders(a, h, setup)
     bound = setup.zero_degree()
     for j in range(setup.r):
         bound = setup.add_degrees(
@@ -155,10 +151,7 @@ def injectivity_certified(a, h, alpha: Degree, setup: ToricSetup) -> bool:
     alpha >= beta(D m+) >= d_i beta_i for any i in the support of m+.
     Hence when no d_i beta_i precedes alpha, evaluation is injective.
     """
-    qm = setup.q - 1
-    if h <= 0 or qm % h != 0:
-        raise ValidationError(f"subgroup order {h} does not divide q-1 = {qm}")
-    d = [h // gcd(h, abs(ai)) for ai in a]
+    d = _diagonal_orders(a, h, setup)
     return all(
         not degree_leq(
             setup.scale_degree(d[j], setup.variable_degree(j)), alpha, setup

@@ -13,8 +13,11 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import intlin
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 from .gfield import PrimeField
+
+# Nodes one monomial search may visit; degree (30, 30) on H_2 needs 3.54 M.
+MONOMIAL_SEARCH_CAP = 5 * 10**6
 
 
 @dataclass(frozen=True)
@@ -327,8 +330,10 @@ def _enumerate_solutions(alpha_free, setup, allowed, find_one=False):
     out = []
     a = [0] * setup.r
     allowed = sorted(allowed)
+    nodes = 1
 
     def rec(pos, rem, bud):
+        nonlocal nodes
         if find_one and out:
             return
         if pos == len(allowed):
@@ -337,6 +342,10 @@ def _enumerate_solutions(alpha_free, setup, allowed, find_one=False):
             return
         j = allowed[pos]
         top = bud // weights[j]
+        nodes += top + 1  # the children, counted once by their parent
+        if nodes > MONOMIAL_SEARCH_CAP:
+            raise CapExceededError(
+                f"monomial search passed {MONOMIAL_SEARCH_CAP} nodes")
         for v in range(top + 1):
             a[j] = v
             new_rem = [

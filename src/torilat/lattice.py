@@ -8,12 +8,11 @@ torus and point ideals, and a coset-counting Hilbert oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import intlin
 from .errors import ValidationError
 from .grading import Degree, ToricSetup, is_homogeneous, monomial_basis, positive_functional
-from .torus import TorusPoint, _zero_set_exponents
+from .torus import TorusPoint, _diagonal_orders, _zero_set_exponents
 
 
 @dataclass(frozen=True)
@@ -133,12 +132,7 @@ def degenerate_lattice(a, h, setup: ToricSetup) -> DegenerateLattice:
     x_i^{d_i}.
     """
     setup._require_torsion_free("degenerate-torus lattices")
-    if len(a) != setup.r:
-        raise ValidationError("diagonal exponent vector length != r")
-    qm = setup.q - 1
-    if h <= 0 or qm % h != 0:
-        raise ValidationError(f"subgroup order {h} does not divide q-1 = {qm}")
-    d = [h // gcd(h, abs(ai)) for ai in a]
+    d = _diagonal_orders(a, h, setup)
     betaD = [
         [setup.beta_free[i][j] * d[j] for j in range(setup.r)]
         for i in range(setup.k)

@@ -7,14 +7,18 @@ agree.  All set operations are linear algebra mod q-1.
 
 A subgroup of T_X is, in canonical forms, a lattice Lambda with
 (q-1)Z^n <= Lambda <= Z^n.  Every constructor here names generators of
-its subgroup and builds the points from the Hermite basis of Lambda; the
-order comes from that basis, so the cap is checked before any point is.
+its subgroup and keeps the Hermite basis of Lambda; the order,
+structure and vanishing lattice come from that basis, and the points are
+enumerated from it only when they are read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, prod
+from operator import attrgetter
 
 import numpy as np
 
@@ -47,35 +51,67 @@ class TorusPoint:
 
 
 class PointSet:
-    """Deduplicated, canonically sorted set of torus points."""
+    """Deduplicated, canonically sorted set of torus points.  A subgroup
+    from `_subgroup` holds its n x n Hermite basis B and one representative
+    per column of B instead, and enumerates its points on first read."""
 
-    def __init__(self, points, is_group=False):
+    def __init__(self, points):
+        self.basis = None
         seen = {}
         for p in points:
             seen.setdefault(p.canon, p)
         self.points = tuple(seen[c] for c in sorted(seen))
-        self.is_group = is_group
+
+    @classmethod
+    def _from_lattice(cls, basis, basis_reps, qm):
+        Y = cls.__new__(cls)
+        Y.basis, Y.basis_reps, Y._qm = basis, basis_reps, qm
+        return Y
+
+    @property
+    def is_group(self):
+        return self.basis is not None
+
+    @cached_property
+    def points(self):
+        """sum_j x_j B_j with 0 <= x_j < (q-1)/B_jj, each point once."""
+        qm, B = self._qm, self.basis
+        n, r = len(B), len(self.basis_reps[0])
+        # entries stay below (q-1)^2 <= 10^12 (q is capped at 10^6), far
+        # inside int64
+        canon = np.zeros((1, n), dtype=np.int64)
+        rep = np.zeros((1, r), dtype=np.int64)
+        for j, col_rep in enumerate(self.basis_reps):
+            col = np.array([B[i][j] % qm for i in range(n)], dtype=np.int64)
+            x = np.arange(qm // B[j][j], dtype=np.int64)[:, None, None]
+            canon = ((canon + x * col) % qm).reshape(-1, n)
+            rep = ((rep + x * np.array(col_rep, dtype=np.int64)) % qm).reshape(-1, r)
+        order = np.lexsort(canon.T[::-1])
+        return tuple(
+            TorusPoint(canon=tuple(c), rep=tuple(s))
+            for c, s in zip(canon[order].tolist(), rep[order].tolist())
+        )
 
     def __len__(self):
-        return len(self.points)
+        if self.basis is None:
+            return len(self.points)
+        return prod(self._qm // self.basis[j][j] for j in range(len(self.basis)))
 
     def __iter__(self):
         return iter(self.points)
 
     def __contains__(self, p):
-        return isinstance(p, TorusPoint) and any(
-            q.canon == p.canon for q in self.points
-        )
+        if not isinstance(p, TorusPoint):
+            return False
+        i = bisect_left(self.points, p.canon, key=attrgetter("canon"))
+        return i < len(self.points) and self.points[i].canon == p.canon
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PointSet)
-            and tuple(p.canon for p in self.points)
-            == tuple(p.canon for p in other.points)
-        )
+        # TorusPoint equality compares canonical forms
+        return isinstance(other, PointSet) and self.points == other.points
 
     def __repr__(self):
-        return f"PointSet({len(self.points)} points, is_group={self.is_group})"
+        return f"PointSet({len(self)} points, is_group={self.is_group})"
 
     def canon_set(self):
         return {p.canon for p in self.points}
@@ -122,8 +158,8 @@ def _subgroup(reps, setup: ToricSetup) -> PointSet:
     prod (q-1)/B_ii is checked against the cap before any point exists.
     The transform W writes each basis column as an integer combination of
     the generators; the same combination of their representatives (the
-    (q-1)e_j contribute the identity) represents that column.  The points
-    are then sum_i x_i B_i with 0 <= x_i < (q-1)/B_ii, each exactly once.
+    (q-1)e_j contribute the identity) represents that column; the set
+    keeps B and these representatives.
     """
     qm = setup.q - 1
     n, r = setup.n, setup.r
@@ -132,31 +168,16 @@ def _subgroup(reps, setup: ToricSetup) -> PointSet:
     cols += [[qm if i == j else 0 for i in range(n)] for j in range(n)]
     reps += [[0] * r] * n
     H, W = intlin.column_hnf(intlin.from_columns(cols, n))
-    orders = [qm // H[j][j] for j in range(n)]
-    total = prod(orders)
+    total = prod(qm // H[j][j] for j in range(n))
     if total > TORUS_ENUM_CAP:
         raise CapExceededError(
             f"subgroup has {total} points, cap is {TORUS_ENUM_CAP}"
         )
-    # entries stay below (q-1)^2 <= 10^12 (q is capped at 10^6), far
-    # inside int64
-    canon = np.zeros((1, n), dtype=np.int64)
-    rep = np.zeros((1, r), dtype=np.int64)
-    for j, order in enumerate(orders):
-        col = np.array([H[i][j] % qm for i in range(n)], dtype=np.int64)
-        col_rep = np.array(
-            [sum(W[k][j] * s[i] for k, s in enumerate(reps)) % qm
-             for i in range(r)],
-            dtype=np.int64,
-        )
-        x = np.arange(order, dtype=np.int64)[:, None, None]
-        canon = ((canon + x * col) % qm).reshape(-1, n)
-        rep = ((rep + x * col_rep) % qm).reshape(-1, r)
-    pts = [
-        TorusPoint(canon=tuple(c), rep=tuple(s))
-        for c, s in zip(canon.tolist(), rep.tolist())
+    basis_reps = [
+        [sum(W[k][j] * s[i] for k, s in enumerate(reps)) % qm for i in range(r)]
+        for j in range(n)
     ]
-    return PointSet(pts, is_group=True)
+    return PointSet._from_lattice([row[:n] for row in H], basis_reps, qm)
 
 
 def all_torus_points(setup: ToricSetup) -> PointSet:
@@ -171,13 +192,27 @@ def points_from_parameterization(Q, h, setup: ToricSetup) -> PointSet:
     j-th coordinate is t_1^{Q[0][j]} ... t_s^{Q[s-1][j]} with t_i in H.
     With H generated by eta^((q-1)/h), this is the subgroup generated by
     the rows of ((q-1)/h) Q."""
+    step = _subgroup_step(h, setup)
+    if Q and len(Q[0]) != setup.r:
+        raise ValidationError("parameterization matrix has wrong column count")
+    return _subgroup([[step * x for x in row] for row in Q], setup)
+
+
+def _subgroup_step(h, setup: ToricSetup) -> int:
+    """(q-1)/h: eta to this power generates the order-h subgroup of F_q*."""
     qm = setup.q - 1
     if h <= 0 or qm % h != 0:
         raise ValidationError(f"subgroup order {h} does not divide q-1 = {qm}")
-    if Q and len(Q[0]) != setup.r:
-        raise ValidationError("parameterization matrix has wrong column count")
-    step = qm // h
-    return _subgroup([[step * x for x in row] for row in Q], setup)
+    return qm // h
+
+
+def _diagonal_orders(a, h, setup: ToricSetup):
+    """d_i = h/gcd(h, a_i): the order of t -> t^{a_i} on the order-h
+    subgroup of F_q*, for the diagonal exponents a of a degenerate torus."""
+    if len(a) != setup.r:
+        raise ValidationError("diagonal exponent vector length != r")
+    _subgroup_step(h, setup)
+    return [h // gcd(h, abs(ai)) for ai in a]
 
 
 def _zero_set_exponents(cols, qm: int, r: int):
@@ -223,35 +258,17 @@ class GroupStructure:
 
 def _exponent_lattice(Y: PointSet, setup: ToricSetup):
     """(B, C) for a subgroup Y: B is the column Hermite basis of its
-    canonical-form lattice Lambda, C = B^{-1} (q-1) I.
-
-    B is built from Y's own points, inserting a point only when it lies
-    outside the span so far; each insertion at least doubles the span, so
-    there are at most log2|Y| of them, each an HNF of n+1 columns.
-    """
+    canonical-form lattice Lambda, C = B^{-1} (q-1) I."""
     if not Y.is_group:
         raise ValidationError("point set is not a verified subgroup")
-    qm = setup.q - 1
-    n = setup.n
-    reducer = intlin.HermiteReducer.from_basis(
-        [[qm if i == j else 0 for j in range(n)] for i in range(n)]
-    )
-    for p in Y:
-        if not reducer.contains(p.canon):
-            cols = [list(c) for c in reducer.basis] + [list(p.canon)]
-            reducer = intlin.HermiteReducer.from_basis(intlin.from_columns(cols))
-    B = intlin.from_columns([list(c) for c in reducer.basis], n)
-    if prod(qm // B[i][i] for i in range(n)) != len(Y):
-        raise InternalError("group order mismatch in cyclic decomposition")
-    # (q-1)Z^n inside the lattice spanned by B: columns of C = B^{-1} (q-1)I
+    qm, n = setup.q - 1, setup.n
     Ccols = []
     for i in range(n):
-        e = [qm if j == i else 0 for j in range(n)]
-        x = intlin.solve_integer(B, e)
+        x = intlin.solve_integer(Y.basis, [qm if j == i else 0 for j in range(n)])
         if x is None:
             raise InternalError("(q-1)Z^n not inside the generated lattice")
         Ccols.append(x)
-    return B, intlin.from_columns(Ccols, n)
+    return Y.basis, intlin.from_columns(Ccols, n)
 
 
 def group_structure(Y: PointSet, setup: ToricSetup) -> GroupStructure:
@@ -272,13 +289,9 @@ def group_structure(Y: PointSet, setup: ToricSetup) -> GroupStructure:
         g = [v % qm for v in intlin.mat_vec(B, x)]
         orders.append(d)
         gens.append(point_from_canon(g, setup))
-    if gens:
-        g_all = gcd(qm, *(x for p in gens for x in p.rep))
-        h = qm // g_all
-        Q = [[x // g_all for x in p.rep] for p in gens]
-    else:
-        h = 1
-        Q = []
+    g_all = gcd(qm, *(x for p in gens for x in p.rep))
+    h = qm // g_all
+    Q = [[x // g_all for x in p.rep] for p in gens]
     return GroupStructure(orders=tuple(orders), generators=tuple(gens), Q=Q, h=h)
 
 
@@ -290,26 +303,17 @@ def degenerate_torus(a, h, setup: ToricSetup):
     the orders d_i = h/gcd(h, a_i) are pairwise coprime, else None.  When
     predicted, |Y| is checked against it.
     """
-    if len(a) != setup.r:
-        raise ValidationError("diagonal exponent vector length != r")
-    qm = setup.q - 1
-    if h <= 0 or qm % h != 0:
-        raise ValidationError(f"subgroup order {h} does not divide q-1 = {qm}")
+    d = _diagonal_orders(a, h, setup)
     Q = [[a[i] if i == j else 0 for j in range(setup.r)] for i in range(setup.r)]
     Y = points_from_parameterization(Q, h, setup)
-    d = [h // gcd(h, abs(ai)) for ai in a]
     pairwise = all(
         gcd(d[i], d[j]) == 1 for i in range(len(d)) for j in range(i + 1, len(d))
     )
-    predicted = None
-    if pairwise:
-        predicted = 1
-        for di in d:
-            predicted *= di
-        if len(Y) != predicted:
-            raise InternalError(
-                f"degenerate torus has {len(Y)} points, predicted {predicted}"
-            )
+    predicted = prod(d) if pairwise else None
+    if pairwise and len(Y) != predicted:
+        raise InternalError(
+            f"degenerate torus has {len(Y)} points, predicted {predicted}"
+        )
     return Y, predicted
 
 

@@ -9,7 +9,8 @@ invariants).  Matrices over F_q: rank by plain-list Gaussian elimination.
 Torus subgroups: the point-by-point constructions that the lattice path
 in `torilat.torus` replaced — a sweep of every canonical form, a sweep of
 every parameter tuple, a filter of the whole torus, a breadth-first
-closure, and an O(|Y|^2) closure check.
+closure, an O(|Y|^2) closure check, and the exponent lattice rebuilt
+from a subgroup's points.
 """
 
 from itertools import combinations, product
@@ -161,3 +162,19 @@ def is_closed_group(Y, setup):
         for a in Y
         for b in Y
     )
+
+
+def exponent_lattice_from_points(Y, setup):
+    """Column Hermite basis of the canonical-form lattice of a subgroup
+    Y, rebuilt from its points: starting from (q-1)Z^n, a point is
+    inserted whenever it lies outside the span so far."""
+    qm = setup.q - 1
+    n = setup.n
+    reducer = intlin.HermiteReducer.from_basis(
+        [[qm if i == j else 0 for j in range(n)] for i in range(n)]
+    )
+    for p in Y:
+        if not reducer.contains(p.canon):
+            cols = [list(c) for c in reducer.basis] + [list(p.canon)]
+            reducer = intlin.HermiteReducer.from_basis(intlin.from_columns(cols))
+    return intlin.from_columns([list(c) for c in reducer.basis], n)

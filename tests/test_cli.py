@@ -302,3 +302,15 @@ class TestFieldSizeCap:
         assert code == 3
         assert out == ""
         assert "cap" in err
+
+
+class TestMonomialSearchCap:
+    def test_huge_degree_exits_3(self, capsys, tmp_path):
+        doc = load_json("h2_a5254.json")
+        doc["task"]["alpha1_values"][0] = 10**6
+        f = tmp_path / "huge_degree.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "hilbert-table", str(f))
+        assert code == 3
+        assert out == ""
+        assert "monomial search" in err

@@ -15,7 +15,9 @@ from torilat.codes import (
     evaluation_matrix,
     hilbert_function,
     hilbert_table,
+    injectivity_certified,
     injectivity_check,
+    injectivity_exact,
     rank_mod_q,
     row_space_basis,
 )
@@ -205,6 +207,13 @@ class TestDegreeLeq:
             alpha = Degree(free=(rng.randint(-4, 6), rng.randint(0, 4)))
             if injectivity_certified(a, h, alpha, h2):
                 assert injectivity_exact(a, h, alpha, h2)
+
+    @pytest.mark.parametrize(
+        "test", [injectivity_check, injectivity_certified, injectivity_exact]
+    )
+    def test_short_exponent_vector_rejected(self, h2, test):
+        with pytest.raises(ValidationError):
+            test([2, 5], 10, Degree(free=(1, 0)), h2)
 
 
 class TestCodeParameters:

@@ -5,8 +5,8 @@ from itertools import product
 import pytest
 
 from conftest import make_h2, make_p113, rows_to_lattice
-from torilat import intlin
-from torilat.errors import ValidationError
+from torilat import grading, intlin
+from torilat.errors import CapExceededError, ValidationError
 from torilat.grading import (
     Degree,
     ToricSetup,
@@ -136,6 +136,14 @@ class TestMonomialBasis:
     def test_p113_against_box_oracle(self, p113, alpha):
         got = monomial_basis(Degree(free=alpha), p113)
         assert got == brute_force_monomials(p113, alpha, 6)
+
+    def test_search_cap(self, monkeypatch):
+        # (20, 10) visits 138,330 search nodes for its 341 monomials
+        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 100_000)
+        with pytest.raises(CapExceededError):
+            monomial_basis(Degree(free=(20, 10)), make_h2())
+        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 140_000)
+        assert len(monomial_basis(Degree(free=(20, 10)), make_h2())) == 341
 
     def test_lex_ascending(self, h2):
         mons = monomial_basis(Degree(free=(2, 3)), h2)

@@ -2,6 +2,7 @@
 
 import random
 from functools import lru_cache
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -196,7 +197,7 @@ class TestVanishingLattice:
         assert intlin.lattice_equal(L, scaled)
 
     def test_identity_only_gives_full_homogeneity_lattice(self, h2):
-        Y = PointSet([identity_point(h2)], is_group=True)
+        Y = subgroup_closure([], h2)
         L = vanishing_lattice(Y, h2)
         assert intlin.lattice_equal(L, h2.phi_columns_matrix())
 
@@ -307,6 +308,61 @@ class TestAgainstOracles:
             assert len(Y) == size
             assert Y == oracles.sweep_zero_set(L, st)
             assert_subgroup(Y, st)
+
+
+class TestStoredLattice:
+    """A subgroup keeps the Hermite basis it was built from; its points
+    are enumerated only when read."""
+
+    @given(setups, hst.data())
+    @settings(max_examples=60, deadline=None)
+    def test_basis_and_order_match_the_rebuild_from_points(self, st, data):
+        divisors = [d for d in range(1, st.q) if (st.q - 1) % d == 0]
+        kind = data.draw(hst.sampled_from(
+            ["torus", "parameterization", "zero_set", "closure", "degenerate"]
+        ))
+        if kind == "torus":
+            Y = all_torus_points(st)
+        elif kind == "parameterization":
+            Y = points_from_parameterization(
+                data.draw(exponent_rows(st, 3)),
+                data.draw(hst.sampled_from(divisors)), st,
+            )
+        elif kind == "zero_set":
+            rng = random.Random(data.draw(hst.integers(0, 2**32)))
+            L = random_homogeneous_lattice(
+                st, rng, contain_full=rng.random() < 0.5
+            )
+            Y = zero_set_in_torus(L, st)
+        elif kind == "closure":
+            reps = data.draw(exponent_rows(st, 3))
+            Y = subgroup_closure([point_from_rep(s, st) for s in reps], st)
+        else:
+            a = data.draw(hst.lists(exponents, min_size=st.r, max_size=st.r))
+            Y, _ = degenerate_torus(a, data.draw(hst.sampled_from(divisors)), st)
+        assert "points" not in vars(Y)
+        size = len(Y)
+        B = oracles.exponent_lattice_from_points(Y, st)
+        assert len(Y.points) == size
+        assert intlin.lattice_equal(Y.basis, B)
+        assert size == prod((st.q - 1) // B[i][i] for i in range(st.n))
+        # membership by bisection agrees with the rebuilt lattice
+        reducer = intlin.HermiteReducer.from_basis(B)
+        for s in data.draw(exponent_rows(st, 4)):
+            p = point_from_rep([x % (st.q - 1) for x in s], st)
+            assert (p in Y) == reducer.contains(p.canon)
+
+    def test_capped_torus_is_not_enumerated(self):
+        # P(1,1,1,3) at q = 101: (q-1)^3 = 10^6 points, the cap
+        st = make_p113(q=101)
+        Y = all_torus_points(st)
+        assert len(Y) == 10**6
+        assert group_structure(Y, st).orders == (100, 100, 100)
+        L = vanishing_lattice(Y, st)
+        assert intlin.lattice_equal(
+            L, [[100 * x for x in row] for row in st.phi_columns_matrix()]
+        )
+        assert "points" not in vars(Y)
 
 
 class TestTorsion:
