@@ -127,7 +127,7 @@ def cmd_parameterize(args, doc, setup):
     result = {
         "A": A,
         "num_points": len(Y),
-        "points": sorted([list(p.canon) for p in Y]) if len(Y) <= 512 else None,
+        "points": Y.canon.tolist() if len(Y) <= 512 else None,
     }
     summary = f"parameterizing matrix A ({setup.r}x{setup.r}); zero set has {len(Y)} torus points"
     return result, summary

@@ -49,11 +49,8 @@ def evaluation_matrix(Y: PointSet, alpha: Degree, setup: ToricSetup):
     # a - a0 lies in L_beta
     diffs = np.array([[a[j] - a0[j] for j in range(setup.r)] for a in mons],
                      dtype=np.int64)
-    reps = np.array([list(p.rep) for p in Y], dtype=np.int64)
-    exps = (diffs @ reps.T) % qm
-    pow_table = np.array([setup.field.eta_pow(e) for e in range(qm)],
-                         dtype=np.int64)
-    return pow_table[exps], mons, a0
+    exps = (diffs @ Y.reps.T) % qm
+    return np.array(setup.field._pow, dtype=np.int64)[exps], mons, a0
 
 
 def _echelon(mat: np.ndarray, q: int) -> np.ndarray:

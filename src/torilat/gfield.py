@@ -2,12 +2,11 @@
 
 The primitive root eta is fixed per q as the smallest one, so every
 exponent-space computation in the rest of the package is deterministic.
-Log tables are built once and shared; q is desk scale (<= 10^6).
+Each field builds its own power and log tables; q is desk scale
+(<= 10^6).
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .errors import CapExceededError, ValidationError
 
@@ -93,7 +92,3 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField(q={self.q}, eta={self.eta})"
 
-
-@lru_cache(maxsize=None)
-def field(q: int) -> PrimeField:
-    return PrimeField(q)

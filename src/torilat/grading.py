@@ -103,10 +103,6 @@ class ToricSetup:
         the homogeneity lattice L_beta when A is torsion free)."""
         return intlin.copy_matrix(self.phi)
 
-    @property
-    def torsion_free(self) -> bool:
-        return not self.torsion
-
     def _require_torsion_free(self, what: str):
         if self.torsion:
             raise ValidationError(

@@ -14,11 +14,9 @@ enumerated from it only when they are read.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
-from operator import attrgetter
 
 import numpy as np
 
@@ -42,30 +40,31 @@ class TorusPoint:
     def __hash__(self):
         return hash(self.canon)
 
-    def __lt__(self, other):
-        return self.canon < other.canon
-
     def coordinates(self, setup: ToricSetup):
         """Field-element coordinates of the stored representative."""
         return tuple(setup.field.eta_pow(s) for s in self.rep)
 
 
 class PointSet:
-    """Deduplicated, canonically sorted set of torus points.  A subgroup
-    from `_subgroup` holds its n x n Hermite basis B and one representative
-    per column of B instead, and enumerates its points on first read."""
+    """Deduplicated set of torus points, stored as two int64 arrays in
+    canonical order: `canon` (N x n canonical forms) and `reps` (N x r, one
+    exponent representative per point).  A subgroup from `_subgroup` holds
+    its n x n Hermite basis B and one representative per column of B
+    instead, and fills the arrays on first read."""
 
     def __init__(self, points):
         self.basis = None
-        seen = {}
-        for p in points:
-            seen.setdefault(p.canon, p)
-        self.points = tuple(seen[c] for c in sorted(seen))
+        pts = list(points)
+        # np.unique sorts stably, so `first` keeps each form's first point
+        canon, first = np.unique(
+            _int_rows([p.canon for p in pts]), axis=0, return_index=True
+        )
+        self._arrays = canon, _int_rows([p.rep for p in pts])[first]
 
     @classmethod
-    def _from_lattice(cls, basis, basis_reps, qm):
+    def _from_lattice(cls, basis, basis_reps, qm, r):
         Y = cls.__new__(cls)
-        Y.basis, Y.basis_reps, Y._qm = basis, basis_reps, qm
+        Y.basis, Y.basis_reps, Y._qm, Y._r = basis, basis_reps, qm, r
         return Y
 
     @property
@@ -73,10 +72,11 @@ class PointSet:
         return self.basis is not None
 
     @cached_property
-    def points(self):
-        """sum_j x_j B_j with 0 <= x_j < (q-1)/B_jj, each point once."""
+    def _arrays(self):
+        """(canon, reps) of a subgroup: sum_j x_j B_j with 0 <= x_j <
+        (q-1)/B_jj, each point once."""
         qm, B = self._qm, self.basis
-        n, r = len(B), len(self.basis_reps[0])
+        n, r = len(B), self._r
         # entries stay below (q-1)^2 <= 10^12 (q is capped at 10^6), far
         # inside int64
         canon = np.zeros((1, n), dtype=np.int64)
@@ -86,35 +86,43 @@ class PointSet:
             x = np.arange(qm // B[j][j], dtype=np.int64)[:, None, None]
             canon = ((canon + x * col) % qm).reshape(-1, n)
             rep = ((rep + x * np.array(col_rep, dtype=np.int64)) % qm).reshape(-1, r)
-        order = np.lexsort(canon.T[::-1])
-        return tuple(
-            TorusPoint(canon=tuple(c), rep=tuple(s))
-            for c, s in zip(canon[order].tolist(), rep[order].tolist())
-        )
+        # lexsort needs at least one key; with n = 0 there is one point
+        order = np.lexsort(canon.T[::-1]) if n else slice(None)
+        return canon[order], rep[order]
+
+    canon = property(lambda self: self._arrays[0])
+    reps = property(lambda self: self._arrays[1])
 
     def __len__(self):
         if self.basis is None:
-            return len(self.points)
+            return len(self.canon)
         return prod(self._qm // self.basis[j][j] for j in range(len(self.basis)))
 
     def __iter__(self):
-        return iter(self.points)
+        for c, s in zip(self.canon.tolist(), self.reps.tolist()):
+            yield TorusPoint(canon=tuple(c), rep=tuple(s))
 
     def __contains__(self, p):
-        if not isinstance(p, TorusPoint):
+        # the width test keeps an empty (0 x 0) set from broadcasting
+        if not isinstance(p, TorusPoint) or len(p.canon) != self.canon.shape[1]:
             return False
-        i = bisect_left(self.points, p.canon, key=attrgetter("canon"))
-        return i < len(self.points) and self.points[i].canon == p.canon
+        return bool((self.canon == p.canon).all(axis=1).any())
 
     def __eq__(self, other):
-        # TorusPoint equality compares canonical forms
-        return isinstance(other, PointSet) and self.points == other.points
+        if not isinstance(other, PointSet):
+            return False
+        if self.is_group and other.is_group:
+            # Lambda has one reduced lower-triangular Hermite basis
+            return (self.basis, self._qm) == (other.basis, other._qm)
+        return np.array_equal(self.canon, other.canon)
 
     def __repr__(self):
         return f"PointSet({len(self)} points, is_group={self.is_group})"
 
-    def canon_set(self):
-        return {p.canon for p in self.points}
+
+def _int_rows(rows):
+    """int64 array with one row per vector; 0 x 0 when there are none."""
+    return np.array(rows, dtype=np.int64) if rows else np.zeros((0, 0), np.int64)
 
 
 def canonical_form(s, setup: ToricSetup):
@@ -177,7 +185,7 @@ def _subgroup(reps, setup: ToricSetup) -> PointSet:
         [sum(W[k][j] * s[i] for k, s in enumerate(reps)) % qm for i in range(r)]
         for j in range(n)
     ]
-    return PointSet._from_lattice([row[:n] for row in H], basis_reps, qm)
+    return PointSet._from_lattice([row[:n] for row in H], basis_reps, qm, r)
 
 
 def all_torus_points(setup: ToricSetup) -> PointSet:

@@ -154,7 +154,7 @@ def bfs_closure(generators, setup):
 def is_closed_group(Y, setup):
     """Y holds the identity and every sum of two of its points."""
     qm = setup.q - 1
-    canons = Y.canon_set()
+    canons = {p.canon for p in Y}
     if identity_point(setup).canon not in canons:
         return False
     return all(

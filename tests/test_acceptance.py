@@ -211,7 +211,7 @@ def test_criterion_08_subgroup_lattice_correspondence():
         L = random_homogeneous_lattice(st, rng, contain_full=False)
         Y = zero_set_in_torus(L, st)
         qm = st.q - 1
-        canons = Y.canon_set()
+        canons = {p.canon for p in Y}
         ok = ok and identity_point(st).canon in canons
         closed = all(
             tuple((x + y) % qm for x, y in zip(p.canon, s.canon)) in canons

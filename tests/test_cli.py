@@ -314,3 +314,34 @@ class TestMonomialSearchCap:
         assert code == 3
         assert out == ""
         assert "monomial search" in err
+
+
+EMPTY_FAN_DOC = {
+    "variety": {"rays": []},
+    "field": {"q": 7},
+    "task": {"a": [], "h": 6, "alpha": [], "point": [], "alpha1_values": [0, 1],
+             "alpha2_values": [0], "lattice": [], "generators": []},
+}
+
+
+class TestEmptyFan:
+    """No rays: n = r = 0, and T_X is the one-point torus."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        f = tmp_path / "empty_fan.json"
+        f.write_text(json.dumps(EMPTY_FAN_DOC))
+        return str(f)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_command_exits_cleanly(self, capsys, path, command):
+        code, _, err = run(capsys, command, path)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+
+    def test_parameterize_gives_one_point(self, capsys, path):
+        code, out, _ = run(capsys, "parameterize", path)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["num_points"] == 1
+        assert doc["points"] == [[]]

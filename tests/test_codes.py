@@ -24,7 +24,7 @@ from torilat.codes import (
 from torilat.errors import ValidationError
 from torilat.grading import Degree, monomial_basis
 from torilat.lattice import degenerate_lattice, hilbert_of_lattice
-from torilat.torus import degenerate_torus, zero_set_in_torus
+from torilat.torus import TorusPoint, degenerate_torus, zero_set_in_torus
 
 
 @pytest.fixture(scope="module")
@@ -256,3 +256,28 @@ class TestCodeParameters:
         Y, predicted = degenerate_torus(a, h, st)
         cs = code_parameters(Y, Degree(free=(0, 1)), st)
         assert cs.N == predicted == d[0] * d[1] * d[2] * d[3]
+
+
+class TestNoPointObjects:
+    def test_codes_read_the_arrays(self, h2, monkeypatch):
+        # evaluation reads the representative array of a subgroup; only
+        # iteration builds TorusPoint objects
+        Y = degenerate_torus([2, 5, 4, 5], 10, h2)[0]
+        built = []
+        init = TorusPoint.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TorusPoint, "__init__", counting_init)
+        alpha = Degree(free=(5, 10))
+        assert len(Y) == 50
+        assert Y == degenerate_torus([2, 5, 4, 5], 10, h2)[0]
+        assert evaluation_matrix(Y, alpha, h2)[0].shape == (176, 50)
+        assert hilbert_function(Y, alpha, h2) == 50
+        assert code_parameters(Y, alpha, h2).k == 50
+        assert hilbert_table(Y, [5], [10], h2) == [[50]]
+        assert built == []
+        assert len(list(Y)) == 50
+        assert len(built) == 50

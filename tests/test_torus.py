@@ -142,7 +142,7 @@ class TestSubgroups:
         assert g in Y
         assert identity_point(h2) in Y
         qm = h2.q - 1
-        canons = Y.canon_set()
+        canons = {p.canon for p in Y}
         for p in Y:
             assert tuple((x + y) % qm for x, y in zip(p.canon, g.canon)) in canons
 
@@ -310,6 +310,31 @@ class TestAgainstOracles:
             assert_subgroup(Y, st)
 
 
+def draw_subgroup(st, data):
+    """A subgroup of T_X from one of the five constructors, drawn by
+    hypothesis."""
+    divisors = [d for d in range(1, st.q) if (st.q - 1) % d == 0]
+    kind = data.draw(hst.sampled_from(
+        ["torus", "parameterization", "zero_set", "closure", "degenerate"]
+    ))
+    if kind == "torus":
+        return all_torus_points(st)
+    if kind == "parameterization":
+        return points_from_parameterization(
+            data.draw(exponent_rows(st, 3)),
+            data.draw(hst.sampled_from(divisors)), st,
+        )
+    if kind == "zero_set":
+        rng = random.Random(data.draw(hst.integers(0, 2**32)))
+        L = random_homogeneous_lattice(st, rng, contain_full=rng.random() < 0.5)
+        return zero_set_in_torus(L, st)
+    if kind == "closure":
+        reps = data.draw(exponent_rows(st, 3))
+        return subgroup_closure([point_from_rep(s, st) for s in reps], st)
+    a = data.draw(hst.lists(exponents, min_size=st.r, max_size=st.r))
+    return degenerate_torus(a, data.draw(hst.sampled_from(divisors)), st)[0]
+
+
 class TestStoredLattice:
     """A subgroup keeps the Hermite basis it was built from; its points
     are enumerated only when read."""
@@ -317,36 +342,14 @@ class TestStoredLattice:
     @given(setups, hst.data())
     @settings(max_examples=60, deadline=None)
     def test_basis_and_order_match_the_rebuild_from_points(self, st, data):
-        divisors = [d for d in range(1, st.q) if (st.q - 1) % d == 0]
-        kind = data.draw(hst.sampled_from(
-            ["torus", "parameterization", "zero_set", "closure", "degenerate"]
-        ))
-        if kind == "torus":
-            Y = all_torus_points(st)
-        elif kind == "parameterization":
-            Y = points_from_parameterization(
-                data.draw(exponent_rows(st, 3)),
-                data.draw(hst.sampled_from(divisors)), st,
-            )
-        elif kind == "zero_set":
-            rng = random.Random(data.draw(hst.integers(0, 2**32)))
-            L = random_homogeneous_lattice(
-                st, rng, contain_full=rng.random() < 0.5
-            )
-            Y = zero_set_in_torus(L, st)
-        elif kind == "closure":
-            reps = data.draw(exponent_rows(st, 3))
-            Y = subgroup_closure([point_from_rep(s, st) for s in reps], st)
-        else:
-            a = data.draw(hst.lists(exponents, min_size=st.r, max_size=st.r))
-            Y, _ = degenerate_torus(a, data.draw(hst.sampled_from(divisors)), st)
-        assert "points" not in vars(Y)
+        Y = draw_subgroup(st, data)
+        assert "_arrays" not in vars(Y)
         size = len(Y)
         B = oracles.exponent_lattice_from_points(Y, st)
-        assert len(Y.points) == size
+        assert len(list(Y)) == size
         assert intlin.lattice_equal(Y.basis, B)
         assert size == prod((st.q - 1) // B[i][i] for i in range(st.n))
-        # membership by bisection agrees with the rebuilt lattice
+        # membership by row match agrees with the rebuilt lattice
         reducer = intlin.HermiteReducer.from_basis(B)
         for s in data.draw(exponent_rows(st, 4)):
             p = point_from_rep([x % (st.q - 1) for x in s], st)
@@ -362,7 +365,62 @@ class TestStoredLattice:
         assert intlin.lattice_equal(
             L, [[100 * x for x in row] for row in st.phi_columns_matrix()]
         )
-        assert "points" not in vars(Y)
+        assert Y == all_torus_points(st)
+        assert "_arrays" not in vars(Y)
+
+
+class TestEquality:
+    """Two subgroups compare by their Hermite bases, any other pair by
+    its canonical forms; both must agree with the point lists."""
+
+    @given(setups, hst.data())
+    @settings(max_examples=80, deadline=None)
+    def test_basis_equality_matches_the_point_lists(self, st, data):
+        Y1 = draw_subgroup(st, data)
+        kind = data.draw(hst.sampled_from(["zero_set", "structure", "other"]))
+        if kind == "zero_set":
+            Y2 = zero_set_in_torus(vanishing_lattice(Y1, st), st)
+        elif kind == "structure":
+            gs = group_structure(Y1, st)
+            Y2 = points_from_parameterization(gs.Q, gs.h, st)
+        else:
+            Y2 = draw_subgroup(st, data)
+        same = Y1 == Y2
+        assert "_arrays" not in vars(Y1) and "_arrays" not in vars(Y2)
+        assert same == ([p.canon for p in Y1] == [p.canon for p in Y2])
+        if kind != "other":
+            assert same
+        for Y in (Y1, Y2):
+            listed = PointSet(list(Y))
+            assert Y == listed
+            assert listed == Y
+
+    def test_subgroups_of_different_fields_differ(self):
+        # the full torus has basis I for every q
+        assert all_torus_points(make_h2(q=5)) != all_torus_points(make_h2(q=7))
+
+
+class TestPointSetFromPoints:
+    def test_duplicates_keep_the_first_representative(self, h2):
+        # [1,0,0,0], [11,0,0,0] and [2,8,1,0] all have canonical form (1, 0)
+        reps = [[3, 0, 0, 0], [11, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0],
+                [2, 8, 1, 0], [0, 0, 0, 0], [3, 0, 0, 0]]
+        Y = PointSet(point_from_rep(s, h2) for s in reps)
+        assert len(Y) == 4
+        assert [p.canon for p in Y] == [(0, 0), (0, 1), (1, 0), (3, 0)]
+        assert [p.rep for p in Y] == [
+            (0, 0, 0, 0), (0, 1, 0, 0), (11, 0, 0, 0), (3, 0, 0, 0)
+        ]
+        assert Y.canon.tolist() == [[0, 0], [0, 1], [1, 0], [3, 0]]
+        assert point_from_rep([2, 8, 1, 0], h2) in Y
+        assert point_from_rep([0, 2, 0, 0], h2) not in Y
+
+    def test_empty(self, h2):
+        Y = PointSet([])
+        assert len(Y) == 0
+        assert list(Y) == []
+        assert identity_point(h2) not in Y
+        assert Y == PointSet([])
 
 
 class TestTorsion:
