@@ -28,7 +28,6 @@ from .grading import (
 )
 from .intlin import (
     SNFResult,
-    cokernel_structure,
     hnf,
     integer_kernel,
     lattice_equal,

@@ -50,7 +50,7 @@ def evaluation_matrix(Y: PointSet, alpha: Degree, setup: ToricSetup):
     diffs = np.array([[a[j] - a0[j] for j in range(setup.r)] for a in mons],
                      dtype=np.int64)
     exps = (diffs @ Y.reps.T) % qm
-    return np.array(setup.field._pow, dtype=np.int64)[exps], mons, a0
+    return setup.field._pow[exps], mons, a0
 
 
 def _echelon(mat: np.ndarray, q: int) -> np.ndarray:

@@ -8,6 +8,8 @@ Each field builds its own power and log tables; q is desk scale
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import CapExceededError, ValidationError
 
 FIELD_SIZE_CAP = 10**6
@@ -67,27 +69,22 @@ class PrimeField:
             raise ValidationError(f"field size {q} is not prime")
         self.q = q
         self.eta = primitive_root(q)
-        self._pow = [1] * (q - 1)
+        pows = [1] * (q - 1)
         for i in range(1, q - 1):
-            self._pow[i] = self._pow[i - 1] * self.eta % q
-        self._log = [0] * q
-        for i, v in enumerate(self._pow):
-            self._log[v] = i
+            pows[i] = pows[i - 1] * self.eta % q
+        # int64 tables, so evaluation indexes them without a conversion
+        self._pow = np.array(pows, dtype=np.int64)
+        self._log = np.zeros(q, dtype=np.int64)
+        self._log[self._pow] = np.arange(q - 1)
 
     def eta_pow(self, e: int) -> int:
-        return self._pow[e % (self.q - 1)]
+        return int(self._pow[e % (self.q - 1)])
 
     def discrete_log(self, x: int) -> int:
         x %= self.q
         if x == 0:
             raise ValidationError("discrete log of 0")
-        return self._log[x]
-
-    def inv(self, x: int) -> int:
-        x %= self.q
-        if x == 0:
-            raise ValidationError("inverse of 0")
-        return pow(x, self.q - 2, self.q)
+        return int(self._log[x])
 
     def __repr__(self):
         return f"PrimeField(q={self.q}, eta={self.eta})"

@@ -291,20 +291,6 @@ def kernel_basis_canonical(M: IntMatrix) -> IntMatrix:
     return from_columns(cols, m)
 
 
-def cokernel_structure(M: IntMatrix) -> tuple[int, list]:
-    """Structure of Z^rows / columnspan(M).
-
-    Returns (free_rank, invariant_factors) where the factors are the SNF
-    diagonal entries greater than 1, in divisibility order.
-    """
-    m, n = shape(M)
-    res = snf(M)
-    diag = res.diagonal
-    free_rank = m - sum(1 for d in diag if d != 0)
-    factors = [d for d in diag if d > 1]
-    return free_rank, factors
-
-
 def solve_integer(M: IntMatrix, b: list):
     """One integer solution x of M x = b, or None if there is none."""
     m, n = shape(M)

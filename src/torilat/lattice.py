@@ -8,11 +8,15 @@ torus and point ideals, and a coset-counting Hilbert oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
 from . import intlin
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 from .grading import Degree, ToricSetup, is_homogeneous, monomial_basis, positive_functional
 from .torus import TorusPoint, _diagonal_orders, _zero_set_exponents
+
+DOMINATING_SUBSET_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -158,30 +162,35 @@ def is_mixed(gamma) -> bool:
 def is_dominating(gamma) -> bool:
     """No square submatrix (any k rows x k columns) is mixed.
 
-    Exhaustive scan; 1 x 1 submatrices are never mixed, so k starts at 2.
+    A k x k mixed submatrix on a row set R exists iff at least k columns
+    take both signs inside R (any k of them give one), so the matrix is
+    dominating iff every row set R with |R| >= 2 has fewer than |R|
+    columns mixed on R.  Only a column mixed on all rows can be mixed on
+    a subset; each is kept as its positive-row and negative-row bitmasks.
+    Row sets are tested level by level, |R| = 2, 3, ...; a level that
+    would take the count past DOMINATING_SUBSET_CAP raises before it
+    starts, so a witness on a lower level is still found.
     """
-    from itertools import combinations
-
-    m, n = intlin.shape(gamma)
-    for k in range(2, min(m, n) + 1):
-        for cols in combinations(range(n), k):
-            # a column that is not mixed on the full row set can never be
-            # mixed on a subset, so prune early
-            if any(
-                not (
-                    any(gamma[i][j] > 0 for i in range(m))
-                    and any(gamma[i][j] < 0 for i in range(m))
-                )
-                for j in cols
-            ):
-                continue
-            for rows in combinations(range(m), k):
-                if all(
-                    any(gamma[i][j] > 0 for i in rows)
-                    and any(gamma[i][j] < 0 for i in rows)
-                    for j in cols
-                ):
-                    return False
+    m, _ = intlin.shape(gamma)
+    cols = []
+    for col in intlin.columns(gamma):
+        pos = sum(1 << i for i, x in enumerate(col) if x > 0)
+        neg = sum(1 << i for i, x in enumerate(col) if x < 0)
+        if pos and neg:
+            cols.append((pos, neg))
+    bits = [1 << i for i in range(m)]
+    tested = 0
+    for k in range(2, min(m, len(cols)) + 1):
+        tested += comb(m, k)
+        if tested > DOMINATING_SUBSET_CAP:
+            raise CapExceededError(
+                f"dominating test needs {tested} row subsets up to size {k}, "
+                f"cap is {DOMINATING_SUBSET_CAP}"
+            )
+        for rows in combinations(bits, k):
+            R = sum(rows)
+            if sum(1 for p, n in cols if p & R and n & R) >= k:
+                return False
     return True
 
 

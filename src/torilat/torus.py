@@ -8,8 +8,8 @@ agree.  All set operations are linear algebra mod q-1.
 A subgroup of T_X is, in canonical forms, a lattice Lambda with
 (q-1)Z^n <= Lambda <= Z^n.  Every constructor here names generators of
 its subgroup and keeps the Hermite basis of Lambda; the order,
-structure and vanishing lattice come from that basis, and the points are
-enumerated from it only when they are read.
+membership, structure and vanishing lattice come from that basis, and
+the points are enumerated from it only when they are read.
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ class TorusPoint:
 
     def __hash__(self):
         return hash(self.canon)
-
-    def coordinates(self, setup: ToricSetup):
-        """Field-element coordinates of the stored representative."""
-        return tuple(setup.field.eta_pow(s) for s in self.rep)
 
 
 class PointSet:
@@ -103,10 +99,20 @@ class PointSet:
             yield TorusPoint(canon=tuple(c), rep=tuple(s))
 
     def __contains__(self, p):
-        # the width test keeps an empty (0 x 0) set from broadcasting
-        if not isinstance(p, TorusPoint) or len(p.canon) != self.canon.shape[1]:
+        if not isinstance(p, TorusPoint):
             return False
-        return bool((self.canon == p.canon).all(axis=1).any())
+        if self.is_group:
+            # a canonical form lies in [0, q-1)^n; Lambda decides the rest
+            return (len(p.canon) == len(self.basis)
+                    and all(0 <= x < self._qm for x in p.canon)
+                    and self._reducer.contains(list(p.canon)))
+        # the width test keeps an empty (0 x 0) set from broadcasting
+        return len(p.canon) == self.canon.shape[1] and bool(
+            (self.canon == p.canon).all(axis=1).any())
+
+    @cached_property
+    def _reducer(self):
+        return intlin.HermiteReducer.from_basis(self.basis)
 
     def __eq__(self, other):
         if not isinstance(other, PointSet):

@@ -11,6 +11,9 @@ in `torilat.torus` replaced — a sweep of every canonical form, a sweep of
 every parameter tuple, a filter of the whole torus, a breadth-first
 closure, an O(|Y|^2) closure check, and the exponent lattice rebuilt
 from a subgroup's points.
+
+Mixed dominating matrices: the scan of every k x k submatrix that the
+row-subset test in `torilat.lattice.is_dominating` replaced.
 """
 
 from itertools import combinations, product
@@ -178,3 +181,31 @@ def exponent_lattice_from_points(Y, setup):
             cols = [list(c) for c in reducer.basis] + [list(p.canon)]
             reducer = intlin.HermiteReducer.from_basis(intlin.from_columns(cols))
     return intlin.from_columns([list(c) for c in reducer.basis], n)
+
+
+def is_dominating_by_submatrices(gamma):
+    """No square submatrix (any k rows x k columns) is mixed.
+
+    Exhaustive scan; 1 x 1 submatrices are never mixed, so k starts at 2.
+    """
+    m, n = intlin.shape(gamma)
+    for k in range(2, min(m, n) + 1):
+        for cols in combinations(range(n), k):
+            # a column that is not mixed on the full row set can never be
+            # mixed on a subset, so prune early
+            if any(
+                not (
+                    any(gamma[i][j] > 0 for i in range(m))
+                    and any(gamma[i][j] < 0 for i in range(m))
+                )
+                for j in cols
+            ):
+                continue
+            for rows in combinations(range(m), k):
+                if all(
+                    any(gamma[i][j] > 0 for i in rows)
+                    and any(gamma[i][j] < 0 for i in rows)
+                    for j in cols
+                ):
+                    return False
+    return True

@@ -66,6 +66,49 @@ class TestCiCheck:
         }
 
 
+def path_incidence(n):
+    """(n+1) x n incidence matrix of a directed path: mixed dominating."""
+    return [[(i == j) - (i == j + 1) for j in range(n)] for i in range(n + 1)]
+
+
+class TestDominatingScale:
+    """The row-subset test answers where the submatrix scan ran for hours,
+    and exits 3 before a level that would pass its cap."""
+
+    def ci_check(self, capsys, tmp_path, gamma):
+        # a document lists the basis as rows: the columns of gamma
+        f = tmp_path / "gamma.json"
+        f.write_text(json.dumps({"task": {"matrix": [list(c) for c in zip(*gamma)]}}))
+        code, out, err = run(capsys, "ci-check", str(f))
+        assert "Traceback" not in err
+        return code, out, err
+
+    def test_path_17x16_is_dominating(self, capsys, tmp_path):
+        code, out, _ = self.ci_check(capsys, tmp_path, path_incidence(16))
+        assert code == 0
+        assert json.loads(out) == {"mixed": True, "dominating": True, "complete_intersection": True}
+
+    def test_path_21x20_exits_3(self, capsys, tmp_path):
+        code, out, err = self.ci_check(capsys, tmp_path, path_incidence(20))
+        assert code == 3
+        assert out == ""
+        assert "row subsets" in err
+
+    def test_tall_30x2_answers(self, capsys, tmp_path):
+        code, out, _ = self.ci_check(capsys, tmp_path, path_incidence(2) + [[0, 0]] * 27)
+        assert code == 0
+        assert json.loads(out) == {"mixed": True, "dominating": True, "complete_intersection": True}
+
+    def test_small_witness_in_25x25_answers(self, capsys, tmp_path):
+        # a 25-cycle, every column mixed, with [[1, -1], [-1, 1]] on rows
+        # and columns {0, 1}: all levels would pass the cap, level 2 does not
+        gamma = [[(i == j) - (i == (j + 1) % 25) for j in range(25)] for i in range(25)]
+        gamma[0][1] = -1
+        code, out, _ = self.ci_check(capsys, tmp_path, gamma)
+        assert code == 0
+        assert json.loads(out) == {"mixed": True, "dominating": False, "complete_intersection": False}
+
+
 class TestTorusIdeal:
     def test_h2(self, capsys):
         code, out, _ = run(capsys, "torus-ideal", problem_path("h2_q11.json"))

@@ -4,10 +4,13 @@ torus/point ideals, coset-counting Hilbert oracle."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+import oracles
 from conftest import make_h2, make_p113, rows_to_lattice
-from torilat import intlin
-from torilat.errors import ValidationError
+from torilat import intlin, lattice
+from torilat.errors import CapExceededError, ValidationError
 from torilat.grading import Degree
 from torilat.lattice import (
     Binomial,
@@ -133,6 +136,33 @@ class TestMixedDominating:
     def test_empty_matrix_is_vacuously_ci(self):
         assert is_mixed([[], []])
         assert is_dominating([[], []])
+
+    @given(hst.integers(1, 7).flatmap(
+        lambda m: hst.lists(
+            hst.lists(hst.integers(-2, 2), min_size=m, max_size=m),
+            min_size=0, max_size=7,
+        ).map(lambda cols: [list(r) for r in zip(*cols)] if cols else [[]] * m)
+    ))
+    @settings(max_examples=400, deadline=None)
+    def test_row_subsets_match_the_submatrix_scan(self, gamma):
+        # m x n with m, n <= 7, built from its columns; n = 0 included
+        assert is_dominating(gamma) == oracles.is_dominating_by_submatrices(gamma)
+
+    def test_subset_cap(self, monkeypatch):
+        # the 12 x 11 incidence matrix of a directed path is dominating and
+        # tests every row subset of sizes 2..11: 2^12 - 1 - 12 - 1 = 4082
+        path = [[(i == j) - (i == j + 1) for j in range(11)] for i in range(12)]
+        monkeypatch.setattr(lattice, "DOMINATING_SUBSET_CAP", 4081)
+        with pytest.raises(CapExceededError):
+            is_dominating(path)
+        monkeypatch.setattr(lattice, "DOMINATING_SUBSET_CAP", 4082)
+        assert is_dominating(path)
+        # columns of one sign are never mixed on a subset and add no level
+        assert is_dominating([row + [1, 0, -1] for row in path])
+        # a witness on rows {0, 1} is found before the cap is reached
+        path[0][1] = -1
+        monkeypatch.setattr(lattice, "DOMINATING_SUBSET_CAP", 66)
+        assert not is_dominating(path)
 
     def test_ci_verdicts(self, h2):
         for a in ([2, 5, 4, 5], [5, 2, 5, 4]):

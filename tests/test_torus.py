@@ -15,6 +15,7 @@ from torilat.grading import setup_from_rays
 from torilat.errors import CapExceededError, ValidationError
 from torilat.torus import (
     PointSet,
+    TorusPoint,
     all_torus_points,
     canonical_form,
     degenerate_torus,
@@ -345,15 +346,26 @@ class TestStoredLattice:
         Y = draw_subgroup(st, data)
         assert "_arrays" not in vars(Y)
         size = len(Y)
+        qm = st.q - 1
+        # membership reads the basis; a form out of range or of the wrong
+        # width is no point of Y, though (q-1, 0, ...) lies in the lattice
+        pts = [point_from_rep([x % qm for x in s], st)
+               for s in data.draw(exponent_rows(st, 4))]
+        member = [p in Y for p in pts]
+        rep = (0,) * st.r
+        assert TorusPoint(canon=(qm,) + (0,) * (st.n - 1), rep=rep) not in Y
+        assert TorusPoint(canon=(0,) * (st.n + 1), rep=rep) not in Y
+        assert "_arrays" not in vars(Y)
         B = oracles.exponent_lattice_from_points(Y, st)
         assert len(list(Y)) == size
         assert intlin.lattice_equal(Y.basis, B)
-        assert size == prod((st.q - 1) // B[i][i] for i in range(st.n))
-        # membership by row match agrees with the rebuilt lattice
+        assert size == prod(qm // B[i][i] for i in range(st.n))
+        # and agrees with the rebuilt lattice and the row match on the
+        # enumerated forms
         reducer = intlin.HermiteReducer.from_basis(B)
-        for s in data.draw(exponent_rows(st, 4)):
-            p = point_from_rep([x % (st.q - 1) for x in s], st)
-            assert (p in Y) == reducer.contains(p.canon)
+        for p, found in zip(pts, member):
+            assert found == reducer.contains(p.canon)
+            assert found == bool((Y.canon == p.canon).all(axis=1).any())
 
     def test_capped_torus_is_not_enumerated(self):
         # P(1,1,1,3) at q = 101: (q-1)^3 = 10^6 points, the cap
@@ -421,6 +433,11 @@ class TestPointSetFromPoints:
         assert list(Y) == []
         assert identity_point(h2) not in Y
         assert Y == PointSet([])
+        # unlike the torus of the empty fan: one point, the empty form
+        empty_fan = setup_from_rays([], 7)
+        T = all_torus_points(empty_fan)
+        assert len(T) == 1
+        assert identity_point(empty_fan) in T
 
 
 class TestTorsion:
