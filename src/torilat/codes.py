@@ -2,7 +2,7 @@
 
 Evaluation matrices over F_q, code dimension via the multigraded
 Hilbert function (rank of the evaluation matrix), length, Hilbert
-tables, and small-scale brute-force minimum distance.  All field
+tables, and an exhaustive minimum-distance search in batches.  All field
 arithmetic is exact modular arithmetic; numpy only carries int64
 residues.
 """
@@ -10,6 +10,7 @@ residues.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -18,6 +19,13 @@ from .grading import Degree, ToricSetup, monomial_basis, _enumerate_solutions
 from .torus import PointSet, _diagonal_orders
 
 DEFAULT_MESSAGE_CAP = 10**6
+# Entries in one temporary of the minimum-distance search (a block of
+# messages times a tile of columns).  Blocks keep at least
+# SEARCH_MIN_ROWS messages, so a long code is tiled over its columns.
+SEARCH_TILE = 2**14
+SEARCH_MIN_ROWS = 64
+# message indices stay below this, so their int64 digits are exact
+_INDEX_LIMIT = 2**62
 
 
 @dataclass(frozen=True)
@@ -167,14 +175,47 @@ def injectivity_exact(a, h, alpha: Degree, setup: ToricSetup) -> bool:
     return hilbert_of_lattice(L, alpha, setup) == len(monomial_basis(alpha, setup))
 
 
-def _projective_messages(k: int, q: int):
-    """One representative per scalar class of nonzero messages in F_q^k:
-    first nonzero coordinate fixed to 1."""
-    from itertools import product
+def minimum_distance(basis: np.ndarray, q: int) -> int:
+    """Least weight of a nonzero word in the row space of `basis`, a
+    k x N int64 residue matrix of rank k >= 1 over F_q.
 
+    The search is exhaustive over one message per scalar class: for each
+    leading position `lead`, the messages (0, ..., 0, 1, tail) with tail
+    in F_q^m, m = k - lead - 1, in lexicographic order of tail.  A block
+    of consecutive tails is a matrix of base-q digits, and its words are
+    one int64 product mod q, taken over column tiles.  The search stops
+    at weight 1.
+    """
+    k, N = basis.shape
+    rows = max(SEARCH_MIN_ROWS, SEARCH_TILE // N)
+    cols = SEARCH_TILE // rows
+    best = N
     for lead in range(k):
-        for tail in product(range(q), repeat=k - lead - 1):
-            yield (0,) * lead + (1,) + tail
+        tail = basis[lead + 1 :]
+        m = tail.shape[0]
+        # The last `low` digits of a tail come from an int64 index below
+        # q^low; the first m - low (only for q^m > 2^62) from Python ints.
+        low = m
+        while q**low > _INDEX_LIMIT:
+            low -= 1
+        high_rows, low_rows = tail[: m - low], tail[m - low :]
+        # the products are exact while k (q-1)^2 + q < 2^63: at q <= 10^6,
+        # for k below 9 * 10^6
+        for high in product(range(q), repeat=m - low):
+            offset = (basis[lead] + np.array(high, dtype=np.int64) @ high_rows) % q
+            for start in range(0, q**low, rows):
+                index = np.arange(start, min(start + rows, q**low), dtype=np.int64)
+                digits = np.empty((index.size, low), dtype=np.int64)
+                for j in range(low - 1, -1, -1):
+                    index, digits[:, j] = np.divmod(index, q)
+                weights = np.zeros(digits.shape[0], dtype=np.int64)
+                for c in range(0, N, cols):
+                    words = digits @ low_rows[:, c : c + cols] + offset[c : c + cols]
+                    weights += np.count_nonzero(words % q, axis=1)
+                best = min(best, int(weights.min()))
+                if best == 1:
+                    return 1
+    return best
 
 
 def code_parameters(
@@ -185,7 +226,12 @@ def code_parameters(
     cap: int = DEFAULT_MESSAGE_CAP,
 ) -> CodeSummary:
     """Block-length, dimension and (optionally) minimum distance of the
-    evaluation code C_{alpha, Y}."""
+    evaluation code C_{alpha, Y}.
+
+    The search for d visits (q^k - 1)/(q - 1) projective messages; above
+    `cap` it is skipped with a note."""
+    if cap < 0:
+        raise ValidationError(f"message cap must be nonnegative, got {cap}")
     mat, mons, a0 = evaluation_matrix(Y, alpha, setup)
     N = len(Y)
     q = setup.q
@@ -199,23 +245,16 @@ def code_parameters(
         else:
             n_msgs = (q**k - 1) // (q - 1)
             if n_msgs > cap:
+                try:
+                    count = str(n_msgs)
+                except ValueError:  # beyond the int-to-str digit limit
+                    count = f"({q}^{k} - 1)/{q - 1}"
                 note = (
-                    f"minimum distance skipped: {n_msgs} projective messages "
+                    f"minimum distance skipped: {count} projective messages "
                     f"exceed cap {cap}"
                 )
             else:
-                best = N
-                for msg in _projective_messages(k, q):
-                    word = np.zeros(N, dtype=np.int64)
-                    for c, row in zip(msg, basis):
-                        if c:
-                            word = (word + c * row) % q
-                    w = int(np.count_nonzero(word))
-                    if w < best:
-                        best = w
-                        if best == 1:
-                            break
-                d = best
+                d = minimum_distance(basis, q)
     return CodeSummary(
         N=N, k=k, d=d, alpha=alpha, F0=tuple(a0) if a0 is not None else None,
         note=note,

@@ -14,10 +14,15 @@ from a subgroup's points.
 
 Mixed dominating matrices: the scan of every k x k submatrix that the
 row-subset test in `torilat.lattice.is_dominating` replaced.
+
+Minimum distance: the search one projective message at a time that the
+batched search in `torilat.codes.minimum_distance` replaced.
 """
 
 from itertools import combinations, product
 from math import gcd
+
+import numpy as np
 
 from torilat import intlin
 from torilat.torus import PointSet, identity_point, point_from_canon, point_from_rep
@@ -209,3 +214,32 @@ def is_dominating_by_submatrices(gamma):
                 ):
                     return False
     return True
+
+
+# minimum distance -----------------------------------------------------
+
+
+def _projective_messages(k: int, q: int):
+    """One representative per scalar class of nonzero messages in F_q^k:
+    first nonzero coordinate fixed to 1."""
+    for lead in range(k):
+        for tail in product(range(q), repeat=k - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
+def min_distance_by_messages(basis, q):
+    """Least codeword weight of the row space of a k x N rank-k matrix
+    (k >= 1), one projective message at a time."""
+    k, N = basis.shape
+    best = N
+    for msg in _projective_messages(k, q):
+        word = np.zeros(N, dtype=np.int64)
+        for c, row in zip(msg, basis):
+            if c:
+                word = (word + c * row) % q
+        w = int(np.count_nonzero(word))
+        if w < best:
+            best = w
+            if best == 1:
+                break
+    return best

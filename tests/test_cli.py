@@ -165,6 +165,19 @@ class TestCode:
         assert doc["d"] is None
         assert "cap" in doc["note"]
 
+    def test_negative_cap_exits_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            "code",
+            problem_path("h2_a5254.json"),
+            "--min-distance",
+            "--cap",
+            "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: message cap must be nonnegative, got -1\n"
+
 
 class TestHilbertTable:
     def test_published_table(self, capsys):

@@ -1,14 +1,16 @@
 """Evaluation codes: matrices, ranks, Hilbert tables, parameters."""
 
 import random
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import oracles
 from conftest import load_json, make_h2
+from torilat import cli, codes
 from torilat.codes import (
     code_parameters,
     degree_leq,
@@ -18,13 +20,19 @@ from torilat.codes import (
     injectivity_certified,
     injectivity_check,
     injectivity_exact,
+    minimum_distance,
     rank_mod_q,
     row_space_basis,
 )
 from torilat.errors import ValidationError
-from torilat.grading import Degree, monomial_basis
+from torilat.grading import Degree, monomial_basis, setup_from_rays
 from torilat.lattice import degenerate_lattice, hilbert_of_lattice
-from torilat.torus import TorusPoint, degenerate_torus, zero_set_in_torus
+from torilat.torus import (
+    TorusPoint,
+    all_torus_points,
+    degenerate_torus,
+    zero_set_in_torus,
+)
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +252,37 @@ class TestCodeParameters:
         assert cs.k == 50 and cs.d is None
         assert "cap" in cs.note
 
+    def test_negative_cap_rejected(self, h2, y10):
+        with pytest.raises(ValidationError, match="cap"):
+            code_parameters(y10, Degree(free=(0, 1)), h2, compute_d=True, cap=-1)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="no limit on int-to-str conversion before Python 3.11",
+    )
+    def test_skip_note_beyond_the_digit_limit(self):
+        # (q^k - 1)/(q - 1) has more decimal digits than str() may convert
+        st = make_h2(q=999961)
+        Y = degenerate_torus([1, 7, 11, 13], 30, st)[0]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            cs = code_parameters(Y, Degree(free=(8, 8)), st, compute_d=True)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (cs.N, cs.k, cs.d) == (900, 153, None)
+        assert cs.note == (
+            "minimum distance skipped: (999961^153 - 1)/999960 projective "
+            "messages exceed cap 1000000"
+        )
+
+    @pytest.mark.parametrize(
+        "alpha, params", [((0, 1), (50, 4, 30)), ((1, 1), (50, 6, 20))]
+    )
+    def test_published_degenerate_torus_codes(self, h2, y50, alpha, params):
+        cs = code_parameters(y50, Degree(free=alpha), h2, compute_d=True)
+        assert (cs.N, cs.k, cs.d) == params
+
     def test_length_formula_for_coprime_orders(self):
         from math import gcd
 
@@ -256,6 +295,102 @@ class TestCodeParameters:
         Y, predicted = degenerate_torus(a, h, st)
         cs = code_parameters(Y, Degree(free=(0, 1)), st)
         assert cs.N == predicted == d[0] * d[1] * d[2] * d[3]
+
+
+def projective_torus(s, q):
+    """The torus of P^{s-1}: rays e_1, ..., e_{s-1}, -(e_1 + ... + e_{s-1})."""
+    rays = [[int(i == j) for j in range(s - 1)] for i in range(s - 1)]
+    setup = setup_from_rays(rays + [[-1] * (s - 1)], q)
+    return all_torus_points(setup), setup
+
+
+def projective_torus_distance(s, q, t):
+    """Sarmiento, Vaz Pinto and Villarreal (AAECC 2011): with
+    t = j(q-2) + l and 1 <= l <= q-2, the degree-t code on the torus of
+    P^{s-1} has d = (q-1)^{s-j-2} (q-1-l) for t < (s-1)(q-2), else 1."""
+    if t >= (s - 1) * (q - 2):
+        return 1
+    j, r = divmod(t - 1, q - 2)
+    ell = r + 1
+    return (q - 1) ** (s - j - 2) * (q - 1 - ell)
+
+
+class TestMinimumDistance:
+    @given(hst.sampled_from([2, 3, 5, 7, 11, 13]), hst.integers(1, 4),
+           hst.integers(1, 30), hst.booleans(), hst.data())
+    @settings(max_examples=150, deadline=None)
+    def test_batched_search_matches_the_message_loop(self, q, m, n, unit, data):
+        A = np.array(data.draw(hst.lists(
+            hst.lists(hst.integers(0, q - 1), min_size=n, max_size=n),
+            min_size=m, max_size=m,
+        )), dtype=np.int64)
+        A[:, data.draw(hst.lists(hst.integers(0, n - 1), max_size=n))] = 0
+        if unit:  # a weight-1 word: d = 1
+            A[0] = 0
+            A[0, data.draw(hst.integers(0, n - 1))] = 1
+        basis = row_space_basis(A, q)
+        assume(basis.shape[0] > 0)
+        d = minimum_distance(basis, q)
+        assert d == oracles.min_distance_by_messages(basis, q)
+        if unit:
+            assert d == 1
+
+    @pytest.mark.parametrize("name", ["h2_a2455", "h2_a5254", "h2_q11", "p113_q11"])
+    def test_fixture_codes_match_the_message_loop(self, name):
+        # every distinct code with k <= 6 on the fixture's point set; these
+        # degrees reach all of them
+        doc = load_json(f"{name}.json")
+        setup = cli._load_setup(doc)
+        Y = cli._point_set_from_task(doc["task"], setup)
+        if setup.k == 1:
+            degrees = [(i,) for i in range(4)]
+        else:
+            degrees = [(i, j) for i in range(4) for j in range(3)]
+        seen = set()
+        for alpha in degrees:
+            mat = evaluation_matrix(Y, Degree(free=alpha), setup)[0]
+            basis = row_space_basis(mat, setup.q)
+            key = basis.tobytes()
+            if not 1 <= basis.shape[0] <= 6 or key in seen:
+                continue
+            seen.add(key)
+            assert minimum_distance(basis, setup.q) == (
+                oracles.min_distance_by_messages(basis, setup.q)
+            )
+        assert seen
+
+    @pytest.mark.parametrize("q, k, limit", [(3, 5, 10), (5, 4, 5), (2, 6, 3)])
+    def test_leading_tail_digits_as_python_ints(self, monkeypatch, q, k, limit):
+        # with q^m above the index limit, the first digits of a tail come
+        # from Python ints; a small limit sends every code down that path
+        rng = np.random.default_rng(q * k)
+        basis = row_space_basis(rng.integers(0, q, size=(k, 12)), q)
+        expected = oracles.min_distance_by_messages(basis, q)
+        monkeypatch.setattr(codes, "_INDEX_LIMIT", limit)
+        assert minimum_distance(basis, q) == expected
+
+    def test_several_column_tiles(self):
+        # N = 484 columns are more than one tile of SEARCH_MIN_ROWS rows holds
+        Y, setup = projective_torus(3, 23)
+        basis = row_space_basis(evaluation_matrix(Y, Degree(free=(1,)), setup)[0], 23)
+        assert basis.shape == (3, 484)
+        assert 484 > codes.SEARCH_TILE // codes.SEARCH_MIN_ROWS
+        assert minimum_distance(basis, 23) == 462
+        assert oracles.min_distance_by_messages(basis, 23) == 462
+
+    @pytest.mark.parametrize("s, q, t", (
+        [(3, 3, t) for t in (1, 2, 3)]
+        + [(3, q, t) for q in (5, 7, 11) for t in (1, 2)]
+        + [(4, 3, t) for t in (1, 2, 3, 4)]
+        + [(4, q, 1) for q in (5, 7, 11)]
+        + [(5, 3, t) for t in (1, 2)]
+        + [(5, q, 1) for q in (5, 7)]
+    ))
+    def test_projective_torus_closed_form(self, s, q, t):
+        Y, setup = projective_torus(s, q)
+        cs = code_parameters(Y, Degree(free=(t,)), setup, compute_d=True)
+        assert cs.N == (q - 1) ** (s - 1)
+        assert cs.d == projective_torus_distance(s, q, t)
 
 
 class TestNoPointObjects:
