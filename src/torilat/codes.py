@@ -218,6 +218,15 @@ def minimum_distance(basis: np.ndarray, q: int) -> int:
     return best
 
 
+def _decimal(n: int, fallback: str = "") -> str:
+    """str(n); when n has more digits than str() may convert
+    (sys.get_int_max_str_digits()), `fallback`, or n in hexadecimal."""
+    try:
+        return str(n)
+    except ValueError:
+        return fallback or f"{n:#x}"
+
+
 def code_parameters(
     Y: PointSet,
     alpha: Degree,
@@ -231,7 +240,9 @@ def code_parameters(
     The search for d visits (q^k - 1)/(q - 1) projective messages; above
     `cap` it is skipped with a note."""
     if cap < 0:
-        raise ValidationError(f"message cap must be nonnegative, got {cap}")
+        raise ValidationError(
+            f"message cap must be nonnegative, got {_decimal(cap)}"
+        )
     mat, mons, a0 = evaluation_matrix(Y, alpha, setup)
     N = len(Y)
     q = setup.q
@@ -245,13 +256,10 @@ def code_parameters(
         else:
             n_msgs = (q**k - 1) // (q - 1)
             if n_msgs > cap:
-                try:
-                    count = str(n_msgs)
-                except ValueError:  # beyond the int-to-str digit limit
-                    count = f"({q}^{k} - 1)/{q - 1}"
+                count = _decimal(n_msgs, f"({q}^{k} - 1)/{q - 1}")
                 note = (
                     f"minimum distance skipped: {count} projective messages "
-                    f"exceed cap {cap}"
+                    f"exceed cap {_decimal(cap)}"
                 )
             else:
                 d = minimum_distance(basis, q)

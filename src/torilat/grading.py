@@ -110,19 +110,17 @@ class ToricSetup:
             )
 
     def right_inverse(self):
-        """Integer R (r x n) with phi^T R = I_n.  Exists because phi^T is
-        surjective over Z for torsion-free class groups."""
+        """Integer R (r x n) with phi^T R = I_n: the first n columns of the
+        transform W of the column Hermite form phi^T W = H, which is
+        [I_n | 0] exactly when phi^T is surjective over Z (as it is for
+        torsion-free class groups)."""
         if self._right_inverse is None:
             self._require_torsion_free("torus coordinate computation")
-            phit = intlin.transpose(self.phi)
-            cols = []
-            for i in range(self.n):
-                e = [1 if j == i else 0 for j in range(self.n)]
-                x = intlin.solve_integer(phit, e)
-                if x is None:
-                    raise ValidationError("phi^T is not surjective over Z")
-                cols.append(x)
-            self._right_inverse = intlin.from_columns(cols, self.r)
+            H, W = intlin.column_hnf(intlin.transpose(self.phi))
+            pad = [0] * (self.r - self.n)
+            if H != [row + pad for row in intlin.identity(self.n)]:
+                raise ValidationError("phi^T is not surjective over Z")
+            self._right_inverse = [row[:self.n] for row in W]
         return self._right_inverse
 
     # degree arithmetic -------------------------------------------------

@@ -291,47 +291,6 @@ def kernel_basis_canonical(M: IntMatrix) -> IntMatrix:
     return from_columns(cols, m)
 
 
-def solve_integer(M: IntMatrix, b: list):
-    """One integer solution x of M x = b, or None if there is none."""
-    m, n = shape(M)
-    if len(b) != m:
-        raise ValidationError("matrix/vector size mismatch")
-    H, W = column_hnf(M)
-    # forward substitution over the echelon columns of H
-    y = [0] * n
-    resid = list(b)
-    col = 0
-    pivots = []
-    for j in range(n):
-        p = next((i for i in range(m) if H[i][j] != 0), None)
-        pivots.append(p)
-    for j in range(n):
-        p = pivots[j]
-        if p is None:
-            continue
-        if resid[p] % H[p][j] != 0:
-            return None
-        q = resid[p] // H[p][j]
-        y[j] = q
-        for i in range(m):
-            resid[i] -= q * H[i][j]
-        col += 1
-    if any(resid):
-        return None
-    return mat_vec(W, y)
-
-
-def inverse_unimodular(U: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    m, n = shape(U)
-    if m != n:
-        raise ValidationError("inverse of a non-square matrix")
-    H, W = hnf(U)
-    if H != identity(n):
-        raise ValidationError("matrix is not unimodular")
-    return W
-
-
 @dataclass(frozen=True)
 class HermiteReducer:
     """Coset canonicalizer for a lattice given by its column-Hermite basis.

@@ -107,17 +107,15 @@ def parameterize_zero_set(L, setup: ToricSetup):
     """Square matrix A with Y_{A, F_q*} = V_X(I_L) n T_X (as point sets).
 
     Forms B_L with rows [b_j, (q-1)e_j], takes an integer kernel basis
-    A_L of B_L and returns its first r rows; the columns of the result
+    A_L of B_L and returns its first r rows (B_L has full row rank, so
+    A is r x r however many columns span L); the columns of the result
     generate the exponent lattice of the zero set, so the point set is
     points_from_parameterization(transpose(A), q-1).  The matrix itself
     is basis-dependent; only the parameterized point set is canonical.
     """
     if not is_homogeneous(L, setup):
         raise ValidationError("lattice is not homogeneous")
-    cols = intlin.columns(L)
-    if len(cols) > setup.r:
-        raise ValidationError("lattice rank exceeds the ambient rank")
-    return _zero_set_exponents(cols, setup.q - 1, setup.r)
+    return _zero_set_exponents(intlin.columns(L), setup.q - 1, setup.r)
 
 
 @dataclass(frozen=True)

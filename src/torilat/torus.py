@@ -271,38 +271,43 @@ class GroupStructure:
 
 
 def _exponent_lattice(Y: PointSet, setup: ToricSetup):
-    """(B, C) for a subgroup Y: B is the column Hermite basis of its
-    canonical-form lattice Lambda, C = B^{-1} (q-1) I."""
+    """C = (q-1) B^{-1} for a subgroup Y with lower-triangular Hermite
+    basis B: forward substitution down each column of (q-1) I.  Every
+    division is exact because (q-1)Z^n lies in Lambda."""
     if not Y.is_group:
         raise ValidationError("point set is not a verified subgroup")
-    qm, n = setup.q - 1, setup.n
-    Ccols = []
+    qm, n, B = setup.q - 1, setup.n, Y.basis
+    C = [[0] * n for _ in range(n)]
     for i in range(n):
-        x = intlin.solve_integer(Y.basis, [qm if j == i else 0 for j in range(n)])
-        if x is None:
-            raise InternalError("(q-1)Z^n not inside the generated lattice")
-        Ccols.append(x)
-    return Y.basis, intlin.from_columns(Ccols, n)
+        for j in range(i, n):
+            t = (qm if j == i else 0) - sum(
+                B[j][k] * C[k][i] for k in range(i, j)
+            )
+            if t % B[j][j]:
+                raise InternalError("(q-1)Z^n not inside the generated lattice")
+            C[j][i] = t // B[j][j]
+    return C
 
 
 def group_structure(Y: PointSet, setup: ToricSetup) -> GroupStructure:
     """Cyclic decomposition of a subgroup Y and a (Q, h) with
-    points_from_parameterization(Q, h) == Y."""
+    points_from_parameterization(Q, h) == Y.
+
+    With U C V = S = diag(d_i) the Smith form of C = (q-1) B^{-1}, the
+    generators are B U^{-1} e_i = B C V e_i / d_i = ((q-1)/d_i) V e_i;
+    each d_i divides q-1, the exponent of Lambda / (q-1)Z^n."""
     qm = setup.q - 1
     n = setup.n
-    B, C = _exponent_lattice(Y, setup)
-    res = intlin.snf(C)
-    Uinv = intlin.inverse_unimodular(res.U)
+    res = intlin.snf(_exponent_lattice(Y, setup))
     orders = []
     gens = []
     for i in range(n):
         d = res.S[i][i]
         if d <= 1:
             continue
-        x = [Uinv[j][i] for j in range(n)]
-        g = [v % qm for v in intlin.mat_vec(B, x)]
         orders.append(d)
-        gens.append(point_from_canon(g, setup))
+        gens.append(point_from_canon(
+            [qm // d * res.V[j][i] % qm for j in range(n)], setup))
     g_all = gcd(qm, *(x for p in gens for x in p.rep))
     h = qm // g_all
     Q = [[x // g_all for x in p.rep] for p in gens]
@@ -338,7 +343,7 @@ def vanishing_lattice(Y: PointSet, setup: ToricSetup):
     Y.  With m = phi u, s_P . m = canon(P) . u, so L(Y) is phi applied to
     the dual {u : B^T u in (q-1)Z^n} = C^T Z^n of Y's exponent lattice.
     """
-    _, C = _exponent_lattice(Y, setup)
+    C = _exponent_lattice(Y, setup)
     return intlin.column_hermite_basis(
         intlin.mat_mul(setup.phi, intlin.transpose(C))
     )

@@ -3,8 +3,12 @@ against.  None of this is library code: each routine is the direct
 brute-force definition of what a library function computes.
 
 Integer matrices: determinants by elimination and by cofactor expansion,
-and the gcd of k x k minors (whose running products are the Smith
-invariants).  Matrices over F_q: rank by plain-list Gaussian elimination.
+the gcd of k x k minors (whose running products are the Smith
+invariants), a general integer solver (one column HNF per right-hand
+side) and the inverse of a unimodular matrix, which the right inverse,
+exponent lattice and group structure in `torilat` replaced with reads of
+Hermite and Smith forms already at hand.  Matrices over F_q: rank by
+plain-list Gaussian elimination.
 
 Torus subgroups: the point-by-point constructions that the lattice path
 in `torilat.torus` replaced — a sweep of every canonical form, a sweep of
@@ -25,6 +29,8 @@ from math import gcd
 import numpy as np
 
 from torilat import intlin
+from torilat.errors import ValidationError
+from torilat.intlin import IntMatrix, column_hnf, hnf, identity, mat_vec, shape
 from torilat.torus import PointSet, identity_point, point_from_canon, point_from_rep
 
 
@@ -80,6 +86,47 @@ def gcd_of_minors(M, k):
             sub = [[M[i][j] for j in cols] for i in rows]
             g = gcd(g, cofactor_det(sub))
     return abs(g)
+
+
+def solve_integer(M: IntMatrix, b: list):
+    """One integer solution x of M x = b, or None if there is none."""
+    m, n = shape(M)
+    if len(b) != m:
+        raise ValidationError("matrix/vector size mismatch")
+    H, W = column_hnf(M)
+    # forward substitution over the echelon columns of H
+    y = [0] * n
+    resid = list(b)
+    col = 0
+    pivots = []
+    for j in range(n):
+        p = next((i for i in range(m) if H[i][j] != 0), None)
+        pivots.append(p)
+    for j in range(n):
+        p = pivots[j]
+        if p is None:
+            continue
+        if resid[p] % H[p][j] != 0:
+            return None
+        q = resid[p] // H[p][j]
+        y[j] = q
+        for i in range(m):
+            resid[i] -= q * H[i][j]
+        col += 1
+    if any(resid):
+        return None
+    return mat_vec(W, y)
+
+
+def inverse_unimodular(U: IntMatrix) -> IntMatrix:
+    """Exact inverse of a unimodular integer matrix."""
+    m, n = shape(U)
+    if m != n:
+        raise ValidationError("inverse of a non-square matrix")
+    H, W = hnf(U)
+    if H != identity(n):
+        raise ValidationError("matrix is not unimodular")
+    return W
 
 
 def rank_mod_q(rows, q):

@@ -37,6 +37,23 @@ class TestParameterize:
         assert code == 0
         assert json.loads(out)["num_points"] == 500
 
+    def test_lattice_spanned_by_more_than_r_rows(self, capsys, tmp_path):
+        # five spanning rows (one zero, one repeated) of a rank-2 lattice
+        # on the four rays of H_2: a spanning set may outnumber r
+        doc = load_json("h2_q11.json")
+        doc["task"]["lattice"] = [[10, 0, -10, 0], [20, 10, 0, -10],
+                                  [0, 0, 0, 0], [10, 0, -10, 0],
+                                  [30, 10, -10, -10]]
+        f = tmp_path / "five_rows.json"
+        f.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "parameterize", str(f))
+        assert code == 0
+        params = json.loads(out)
+        assert len(params["A"]) == 4 and len(params["A"][0]) == 4
+        code, out, _ = run(capsys, "subgroup-info", str(f))
+        assert code == 0
+        assert params["num_points"] == json.loads(out)["order"] == 100
+
 
 class TestDegenerateLattice:
     def test_a2455(self, capsys):

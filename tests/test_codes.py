@@ -276,6 +276,34 @@ class TestCodeParameters:
             "messages exceed cap 1000000"
         )
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="no limit on int-to-str conversion before Python 3.11",
+    )
+    def test_cap_beyond_the_digit_limit(self):
+        # a cap with more decimal digits than str() may convert is
+        # written in hexadecimal, in the skip note and in the error
+        st = make_h2(q=999961)
+        Y = degenerate_torus([1, 7, 11, 13], 30, st)[0]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            cs = code_parameters(Y, Degree(free=(8, 8)), st, compute_d=True,
+                                 cap=10**700)
+            with pytest.raises(ValidationError) as err:
+                code_parameters(Y, Degree(free=(8, 8)), st, compute_d=True,
+                                cap=-10**700)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (cs.N, cs.k, cs.d) == (900, 153, None)
+        assert cs.note == (
+            "minimum distance skipped: (999961^153 - 1)/999960 projective "
+            f"messages exceed cap {10**700:#x}"
+        )
+        assert str(err.value) == (
+            f"message cap must be nonnegative, got {-10**700:#x}"
+        )
+
     @pytest.mark.parametrize(
         "alpha, params", [((0, 1), (50, 4, 30)), ((1, 1), (50, 6, 20))]
     )

@@ -168,3 +168,10 @@ class TestRightInverse:
             R = st.right_inverse()
             prod = intlin.mat_mul(intlin.transpose(st.phi), R)
             assert prod == intlin.identity(st.n)
+
+    def test_not_surjective(self):
+        # without a degree matrix no check ties the rays to a torsion-free
+        # class group: det phi = -2, so phi^T maps onto an index-2 sublattice
+        st = ToricSetup([[1, 1], [1, -1]], [], [], 7)
+        with pytest.raises(ValidationError, match="not surjective"):
+            st.right_inverse()

@@ -12,10 +12,11 @@ import oracles
 from conftest import make_h2, make_p113, random_homogeneous_lattice, rows_to_lattice
 from torilat import intlin
 from torilat.grading import setup_from_rays
-from torilat.errors import CapExceededError, ValidationError
+from torilat.errors import CapExceededError, InternalError, ValidationError
 from torilat.torus import (
     PointSet,
     TorusPoint,
+    _exponent_lattice,
     all_torus_points,
     canonical_form,
     degenerate_torus,
@@ -379,6 +380,45 @@ class TestStoredLattice:
         )
         assert Y == all_torus_points(st)
         assert "_arrays" not in vars(Y)
+
+
+class TestHermiteReads:
+    """The right inverse, C = (q-1) B^{-1} and the structure generators
+    are read off Hermite and Smith forms already at hand; the general
+    integer solver and unimodular inverse they replaced must agree."""
+
+    @given(setups, hst.data())
+    @settings(max_examples=60, deadline=None)
+    def test_match_the_general_solver(self, st, data):
+        Y = draw_subgroup(st, data)
+        qm, n, B = st.q - 1, st.n, Y.basis
+
+        def unit(i, c=1):
+            return [c if j == i else 0 for j in range(n)]
+
+        phit = intlin.transpose(st.phi)
+        assert st.right_inverse() == intlin.from_columns(
+            [oracles.solve_integer(phit, unit(i)) for i in range(n)], st.r
+        )
+        C = _exponent_lattice(Y, st)
+        assert C == intlin.from_columns(
+            [oracles.solve_integer(B, unit(i, qm)) for i in range(n)], n
+        )
+        res = intlin.snf(C)
+        Uinv = oracles.inverse_unimodular(res.U)
+        gs = group_structure(Y, st)
+        kept = [i for i, d in enumerate(res.diagonal) if d > 1]
+        assert list(gs.orders) == [res.diagonal[i] for i in kept]
+        assert [p.canon for p in gs.generators] == [
+            tuple(x % qm for x in intlin.mat_vec(B, [row[i] for row in Uinv]))
+            for i in kept
+        ]
+
+    def test_inexact_division_is_an_internal_error(self, h2):
+        # a basis whose lattice misses (q-1)e_1 = (10, 0): 10/3 is not exact
+        Y = PointSet._from_lattice([[3, 0], [0, 1]], [[0] * 4] * 2, 10, 4)
+        with pytest.raises(InternalError):
+            group_structure(Y, h2)
 
 
 class TestEquality:
