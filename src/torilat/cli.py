@@ -96,7 +96,7 @@ def _alpha_from(args, task, setup) -> Degree:
     return Degree(free=tuple(vals))
 
 
-def _point_set_from_task(task, setup, args=None):
+def _point_set_from_task(task, setup):
     if "a" in task:
         h = task.get("h", setup.q - 1)
         Y, _ = torus.degenerate_torus(list(task["a"]), h, setup)
@@ -280,7 +280,9 @@ def main(argv=None) -> int:
     try:
         with open(args.problem) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers undecodable bytes, malformed JSON and integers
+        # longer than int() may convert
         print(f"error: cannot read problem document: {exc}", file=sys.stderr)
         return 2
     try:
@@ -304,8 +306,12 @@ def main(argv=None) -> int:
         return 4
     payload = json.dumps(result, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            print(f"error: cannot write result: {exc}", file=sys.stderr)
+            return 2
     else:
         print(payload)
     print(summary, file=sys.stderr)

@@ -10,11 +10,10 @@ residues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 from .grading import Degree, ToricSetup, monomial_basis, _enumerate_solutions
 from .torus import PointSet, _diagonal_orders
 
@@ -24,7 +23,8 @@ DEFAULT_MESSAGE_CAP = 10**6
 # SEARCH_MIN_ROWS messages, so a long code is tiled over its columns.
 SEARCH_TILE = 2**14
 SEARCH_MIN_ROWS = 64
-# message indices stay below this, so their int64 digits are exact
+# a search of more projective messages is refused; below it every message
+# index is an exact int64
 _INDEX_LIMIT = 2**62
 
 
@@ -99,10 +99,7 @@ def row_space_basis(mat: np.ndarray, q: int) -> np.ndarray:
 def hilbert_function(Y: PointSet, alpha: Degree, setup: ToricSetup) -> int:
     """dim of the degree-alpha code piece: rank of the evaluation matrix
     (the kernel of the evaluation map is the degree-alpha part of I(Y))."""
-    mat, mons, _ = evaluation_matrix(Y, alpha, setup)
-    if not mons:
-        return 0
-    return rank_mod_q(mat, setup.q)
+    return rank_mod_q(evaluation_matrix(Y, alpha, setup)[0], setup.q)
 
 
 def hilbert_table(Y: PointSet, first_values, second_values, setup: ToricSetup):
@@ -184,37 +181,36 @@ def minimum_distance(basis: np.ndarray, q: int) -> int:
     in F_q^m, m = k - lead - 1, in lexicographic order of tail.  A block
     of consecutive tails is a matrix of base-q digits, and its words are
     one int64 product mod q, taken over column tiles.  The search stops
-    at weight 1.
+    at weight 1.  A search of more than 2^62 messages could never finish
+    and raises CapExceededError before any work.
     """
     k, N = basis.shape
+    # (q^k - 1)/(q - 1) >= 2^k - 1, so k >= 64 needs no big-integer power
+    if k >= 64 or (q**k - 1) // (q - 1) > _INDEX_LIMIT:
+        raise CapExceededError(
+            f"minimum distance needs ({q}^{k} - 1)/{q - 1} projective messages, "
+            f"more than the search limit 2^62"
+        )
     rows = max(SEARCH_MIN_ROWS, SEARCH_TILE // N)
     cols = SEARCH_TILE // rows
     best = N
     for lead in range(k):
         tail = basis[lead + 1 :]
         m = tail.shape[0]
-        # The last `low` digits of a tail come from an int64 index below
-        # q^low; the first m - low (only for q^m > 2^62) from Python ints.
-        low = m
-        while q**low > _INDEX_LIMIT:
-            low -= 1
-        high_rows, low_rows = tail[: m - low], tail[m - low :]
         # the products are exact while k (q-1)^2 + q < 2^63: at q <= 10^6,
         # for k below 9 * 10^6
-        for high in product(range(q), repeat=m - low):
-            offset = (basis[lead] + np.array(high, dtype=np.int64) @ high_rows) % q
-            for start in range(0, q**low, rows):
-                index = np.arange(start, min(start + rows, q**low), dtype=np.int64)
-                digits = np.empty((index.size, low), dtype=np.int64)
-                for j in range(low - 1, -1, -1):
-                    index, digits[:, j] = np.divmod(index, q)
-                weights = np.zeros(digits.shape[0], dtype=np.int64)
-                for c in range(0, N, cols):
-                    words = digits @ low_rows[:, c : c + cols] + offset[c : c + cols]
-                    weights += np.count_nonzero(words % q, axis=1)
-                best = min(best, int(weights.min()))
-                if best == 1:
-                    return 1
+        for start in range(0, q**m, rows):
+            index = np.arange(start, min(start + rows, q**m), dtype=np.int64)
+            digits = np.empty((index.size, m), dtype=np.int64)
+            for j in range(m - 1, -1, -1):
+                index, digits[:, j] = np.divmod(index, q)
+            weights = np.zeros(digits.shape[0], dtype=np.int64)
+            for c in range(0, N, cols):
+                words = digits @ tail[:, c : c + cols] + basis[lead, c : c + cols]
+                weights += np.count_nonzero(words % q, axis=1)
+            best = min(best, int(weights.min()))
+            if best == 1:
+                return 1
     return best
 
 
@@ -243,10 +239,10 @@ def code_parameters(
         raise ValidationError(
             f"message cap must be nonnegative, got {_decimal(cap)}"
         )
-    mat, mons, a0 = evaluation_matrix(Y, alpha, setup)
+    mat, _, a0 = evaluation_matrix(Y, alpha, setup)
     N = len(Y)
     q = setup.q
-    basis = row_space_basis(mat, q) if mons else np.zeros((0, N), dtype=np.int64)
+    basis = row_space_basis(mat, q)
     k = basis.shape[0]
     d = None
     note = ""

@@ -27,9 +27,6 @@ class Degree:
     free: tuple
     torsion: tuple = ()
 
-    def __iter__(self):
-        return iter(self.free + self.torsion)
-
 
 class ToricSetup:
     """Fixed ambient context: ray matrix phi (r x n, rows are primitive

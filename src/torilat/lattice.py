@@ -74,9 +74,8 @@ def sign_normalize(m):
 
 @dataclass(frozen=True)
 class LatticeIdealPresentation:
-    """Basis matrix (columns span L) with one binomial per column."""
+    """One binomial per basis column of a lattice L."""
 
-    basis: list  # r x ell
     binomials: tuple
 
     def __iter__(self):
@@ -93,14 +92,11 @@ def lattice_ideal_generators(L) -> LatticeIdealPresentation:
     full ideal may need more generators, which are never materialized
     here.
     """
-    m, ell = intlin.shape(L)
+    _, ell = intlin.shape(L)
     if ell and intlin.snf(L).rank != ell:
         raise ValidationError("lattice basis columns are dependent")
     cols = [sign_normalize(c) for c in intlin.columns(L)]
-    basis = intlin.from_columns([list(c) for c in cols], m)
-    return LatticeIdealPresentation(
-        basis=basis, binomials=tuple(Binomial(m=c) for c in cols)
-    )
+    return LatticeIdealPresentation(binomials=tuple(Binomial(m=c) for c in cols))
 
 
 def parameterize_zero_set(L, setup: ToricSetup):
@@ -150,7 +146,6 @@ def degenerate_lattice(a, h, setup: ToricSetup) -> DegenerateLattice:
 def is_mixed(gamma) -> bool:
     """Every column has both a strictly positive and a strictly negative
     entry.  Vacuously true for a matrix with no columns."""
-    _, n = intlin.shape(gamma)
     for col in intlin.columns(gamma):
         if not (any(x > 0 for x in col) and any(x < 0 for x in col)):
             return False
@@ -243,8 +238,5 @@ def hilbert_of_lattice(L, alpha: Degree, setup: ToricSetup) -> int:
     if not is_homogeneous(L, setup):
         raise ValidationError("lattice is not homogeneous")
     mons = monomial_basis(alpha, setup)
-    _, ell = intlin.shape(L)
-    if ell == 0 or not mons:
-        return len(mons)
     reducer = intlin.HermiteReducer.from_basis(L)
     return len({reducer.reduce(list(a)) for a in mons})

@@ -14,7 +14,7 @@ the points are enumerated from it only when they are read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, prod
 
@@ -32,13 +32,7 @@ class TorusPoint:
     """canon: n-vector of residues mod q-1; rep: one exponent r-vector."""
 
     canon: tuple
-    rep: tuple
-
-    def __eq__(self, other):
-        return isinstance(other, TorusPoint) and self.canon == other.canon
-
-    def __hash__(self):
-        return hash(self.canon)
+    rep: tuple = field(compare=False)
 
 
 class PointSet:

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -195,6 +196,26 @@ class TestCode:
         assert out == ""
         assert err == "error: message cap must be nonnegative, got -1\n"
 
+    def test_search_past_the_index_limit_exits_3(self, capsys):
+        # k = 50 over F_11: about 1.2 * 10^51 projective messages, under a
+        # 61-digit cap but past the 2^62 the search can index
+        code, out, err = run(
+            capsys,
+            "code",
+            problem_path("h2_a2455.json"),
+            "--alpha",
+            "5,10",
+            "--min-distance",
+            "--cap",
+            "1" + "0" * 60,
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: minimum distance needs (11^50 - 1)/10 projective messages, "
+            "more than the search limit 2^62\n"
+        )
+
 
 class TestHilbertTable:
     def test_published_table(self, capsys):
@@ -246,6 +267,42 @@ class TestOutputsAndErrors:
         code, _, err = run(capsys, "code", "/nonexistent.json")
         assert code == 2
         assert "cannot read" in err
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100_000],
+                             ids=["not_utf8", "nested_100000"])
+    def test_unreadable_document_exits_2(self, capsys, tmp_path, data):
+        # undecodable bytes and nesting past the recursion limit
+        f = tmp_path / "doc.json"
+        f.write_bytes(data)
+        code, out, err = run(capsys, "torus-ideal", str(f))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read problem document: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="no limit on str-to-int conversion",
+    )
+    def test_integer_past_the_digit_limit_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "long_q.json"
+        text = json.dumps(H2_DOC).replace('"q": 11', '"q": 1' + "0" * 4999)
+        assert len(text) > 5000
+        f.write_text(text)
+        code, out, err = run(capsys, "torus-ideal", str(f))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read problem document: ")
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run(
+            capsys, "torus-ideal", problem_path("h2_q11.json"), "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write result: ")
+        assert not target.exists()
 
     def test_validation_error_exit_2(self, capsys, tmp_path):
         doc = {

@@ -24,7 +24,7 @@ from torilat.codes import (
     rank_mod_q,
     row_space_basis,
 )
-from torilat.errors import ValidationError
+from torilat.errors import CapExceededError, ValidationError
 from torilat.grading import Degree, monomial_basis, setup_from_rays
 from torilat.lattice import degenerate_lattice, hilbert_of_lattice
 from torilat.torus import (
@@ -387,15 +387,27 @@ class TestMinimumDistance:
             )
         assert seen
 
-    @pytest.mark.parametrize("q, k, limit", [(3, 5, 10), (5, 4, 5), (2, 6, 3)])
-    def test_leading_tail_digits_as_python_ints(self, monkeypatch, q, k, limit):
-        # with q^m above the index limit, the first digits of a tail come
-        # from Python ints; a small limit sends every code down that path
+    @pytest.mark.parametrize("q, k", [(3, 5), (5, 4), (2, 6)])
+    def test_search_refused_past_the_index_limit(self, monkeypatch, q, k):
+        # a search of more projective messages than the index limit is
+        # refused; at the limit itself it runs and matches the oracle
         rng = np.random.default_rng(q * k)
         basis = row_space_basis(rng.integers(0, q, size=(k, 12)), q)
-        expected = oracles.min_distance_by_messages(basis, q)
-        monkeypatch.setattr(codes, "_INDEX_LIMIT", limit)
-        assert minimum_distance(basis, q) == expected
+        assert basis.shape[0] == k
+        n_msgs = (q**k - 1) // (q - 1)
+        monkeypatch.setattr(codes, "_INDEX_LIMIT", n_msgs - 1)
+        with pytest.raises(CapExceededError):
+            minimum_distance(basis, q)
+        monkeypatch.setattr(codes, "_INDEX_LIMIT", n_msgs)
+        assert minimum_distance(basis, q) == oracles.min_distance_by_messages(
+            basis, q
+        )
+
+    def test_identity_63_over_f2_refused_at_once(self):
+        # 2^63 - 1 projective messages: more than 2^62, refused before
+        # any block is formed
+        with pytest.raises(CapExceededError, match=r"\(2\^63 - 1\)/1"):
+            minimum_distance(np.eye(63, dtype=np.int64), 2)
 
     def test_several_column_tiles(self):
         # N = 484 columns are more than one tile of SEARCH_MIN_ROWS rows holds

@@ -236,14 +236,20 @@ class TestHilbertOracle:
         L = degenerate_lattice([2, 5, 4, 5], 10, h2).L
         assert hilbert_of_lattice(L, Degree(free=(5, 10)), h2) == 50
 
-    def test_zero_lattice_counts_monomials(self, h2):
+    def test_zero_lattice_counts_monomials(self, h2, p113):
+        # an r x 0 basis reduces nothing: every monomial is its own class,
+        # also in a degree that has no monomials at all
         from torilat.grading import monomial_basis
 
-        alpha = Degree(free=(0, 1))
-        empty = [[], [], [], []]
-        assert hilbert_of_lattice(empty, alpha, h2) == len(
-            monomial_basis(alpha, h2)
-        )
+        for setup, degrees in ((h2, [(0, 1), (5, 10), (0, -1)]),
+                               (p113, [(4,), (7,), (-1,)])):
+            empty = [[] for _ in range(setup.r)]
+            counts = []
+            for free in degrees:
+                alpha = Degree(free=free)
+                counts.append(len(monomial_basis(alpha, setup)))
+                assert hilbert_of_lattice(empty, alpha, setup) == counts[-1]
+            assert counts[-1] == 0 < min(counts[:-1])
 
 
 class TestGenerators:
