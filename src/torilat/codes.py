@@ -1,10 +1,10 @@
 """Generalized toric codes on subsets of the torus.
 
 Evaluation matrices over F_q, code dimension via the multigraded
-Hilbert function (rank of the evaluation matrix), length, Hilbert
-tables, and an exhaustive minimum-distance search in batches.  All field
-arithmetic is exact modular arithmetic; numpy only carries int64
-residues.
+Hilbert function (a count of monomial classes on a subgroup, a rank
+elsewhere), length, Hilbert tables, and an exhaustive minimum-distance
+search in batches.  All field arithmetic is exact modular arithmetic;
+numpy only carries int64 residues.
 """
 
 from __future__ import annotations
@@ -48,17 +48,37 @@ def evaluation_matrix(Y: PointSet, alpha: Degree, setup: ToricSetup):
     if len(Y) == 0:
         raise ValidationError("evaluation over an empty point set")
     mons = monomial_basis(alpha, setup)
-    N = len(Y)
     if not mons:
-        return np.zeros((0, N), dtype=np.int64), [], None
-    a0 = mons[0]
-    qm = setup.q - 1
-    # exponent of entry (a, P): (a - a0) . s_P mod q-1; well defined since
-    # a - a0 lies in L_beta
-    diffs = np.array([[a[j] - a0[j] for j in range(setup.r)] for a in mons],
-                     dtype=np.int64)
-    exps = (diffs @ Y.reps.T) % qm
-    return setup.field._pow[exps], mons, a0
+        return np.zeros((0, len(Y)), dtype=np.int64), [], None
+    return setup.field._pow[_exponents(mons, Y.reps, setup.q)], mons, mons[0]
+
+
+def _exponents(mons, reps, q):
+    """(a - a0) . s mod q-1, a0 = mons[0], for a in `mons` (rows) and s in
+    `reps` (columns); well defined on points since a - a0 lies in L_beta."""
+    diffs = np.array(mons, dtype=np.int64)
+    return (diffs - diffs[0]) @ np.asarray(reps, dtype=np.int64).T % (q - 1)
+
+
+def _code(Y: PointSet, alpha: Degree, setup: ToricSetup):
+    """(k, F0, generator) of the degree-alpha code on Y; generator()
+    returns a k x N generator matrix.  On a subgroup the row of x^a is
+    the character s -> eta^{(a - a0) . s} of Y, fixed by its values on
+    `Y.basis_reps`.  Distinct characters are independent (Dedekind), so k
+    counts distinct label rows and one monomial per class spans the code;
+    no point is read until generator() runs.  Other sets take a rank."""
+    if not Y.is_group:
+        mat, _, a0 = evaluation_matrix(Y, alpha, setup)
+        basis = row_space_basis(mat, setup.q)
+        return basis.shape[0], a0, lambda: basis
+    mons = monomial_basis(alpha, setup)
+    if not mons:
+        return 0, None, None
+    labels = _exponents(mons, Y.basis_reps, setup.q)
+    first = np.sort(np.unique(labels, axis=0, return_index=True)[1])
+    classes = [mons[i] for i in first]
+    return len(classes), mons[0], lambda: setup.field._pow[
+        _exponents(classes, Y.reps, setup.q)]
 
 
 def _echelon(mat: np.ndarray, q: int) -> np.ndarray:
@@ -97,9 +117,9 @@ def row_space_basis(mat: np.ndarray, q: int) -> np.ndarray:
 
 
 def hilbert_function(Y: PointSet, alpha: Degree, setup: ToricSetup) -> int:
-    """dim of the degree-alpha code piece: rank of the evaluation matrix
-    (the kernel of the evaluation map is the degree-alpha part of I(Y))."""
-    return rank_mod_q(evaluation_matrix(Y, alpha, setup)[0], setup.q)
+    """dim of the degree-alpha code piece: the rank of the evaluation
+    matrix, on a subgroup the number of monomial classes modulo L(Y)."""
+    return _code(Y, alpha, setup)[0]
 
 
 def hilbert_table(Y: PointSet, first_values, second_values, setup: ToricSetup):
@@ -239,11 +259,8 @@ def code_parameters(
         raise ValidationError(
             f"message cap must be nonnegative, got {_decimal(cap)}"
         )
-    mat, _, a0 = evaluation_matrix(Y, alpha, setup)
-    N = len(Y)
+    k, a0, generator = _code(Y, alpha, setup)
     q = setup.q
-    basis = row_space_basis(mat, q)
-    k = basis.shape[0]
     d = None
     note = ""
     if compute_d:
@@ -258,8 +275,7 @@ def code_parameters(
                     f"exceed cap {_decimal(cap)}"
                 )
             else:
-                d = minimum_distance(basis, q)
+                d = minimum_distance(generator(), q)
     return CodeSummary(
-        N=N, k=k, d=d, alpha=alpha, F0=tuple(a0) if a0 is not None else None,
-        note=note,
+        N=len(Y), k=k, d=d, alpha=alpha, F0=a0, note=note,
     )

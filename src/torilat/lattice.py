@@ -188,8 +188,10 @@ def is_dominating(gamma) -> bool:
 
 
 def complete_intersection(L, setup: ToricSetup | None = None) -> bool:
-    """Whether I_L is a complete intersection: the Hermite-canonical
-    basis matrix of L must be mixed dominating.
+    """Whether the Hermite-canonical basis matrix of L is mixed
+    dominating.  True proves that I_L is a complete intersection
+    (Fischer-Shapiro; Morales-Thoma).  False only means that this basis
+    is not: I_L is one as soon as some basis of L is mixed dominating.
 
     Requires L n N^r = {0}; when a setup is supplied this is certified by
     homogeneity plus a pointed grading.

@@ -10,6 +10,7 @@ from hypothesis import strategies as hst
 
 import oracles
 from conftest import load_json, make_h2
+from test_torus import draw_subgroup, setups
 from torilat import cli, codes
 from torilat.codes import (
     code_parameters,
@@ -28,9 +29,13 @@ from torilat.errors import CapExceededError, ValidationError
 from torilat.grading import Degree, monomial_basis, setup_from_rays
 from torilat.lattice import degenerate_lattice, hilbert_of_lattice
 from torilat.torus import (
+    PointSet,
     TorusPoint,
     all_torus_points,
     degenerate_torus,
+    identity_point,
+    point_from_rep,
+    vanishing_lattice,
     zero_set_in_torus,
 )
 
@@ -161,9 +166,38 @@ class TestOracleEquivalence:
             for i in range(-5, 13, 3):
                 for j in range(0, 6, 2):
                     alpha = Degree(free=(i, j))
-                    assert hilbert_function(Y, alpha, h2) == hilbert_of_lattice(
-                        L, alpha, h2
-                    )
+                    rank = rank_mod_q(evaluation_matrix(Y, alpha, h2)[0], 11)
+                    assert hilbert_function(Y, alpha, h2) == rank
+                    assert rank == hilbert_of_lattice(L, alpha, h2)
+
+    @given(setups, hst.data())
+    @settings(max_examples=80, deadline=None)
+    def test_class_count_against_the_rank(self, st, data):
+        # on a subgroup k counts monomial classes; the rank of the full
+        # evaluation matrix, the coset count modulo L(Y) and the search
+        # on an echelon basis are its oracles
+        Y = draw_subgroup(st, data)
+        if st.k == 2:
+            alpha = Degree(free=(data.draw(hst.integers(-4, 12)),
+                                 data.draw(hst.integers(0, 6))))
+        else:
+            alpha = Degree(free=(data.draw(hst.integers(0, 12)),))
+        q = st.q
+        k = hilbert_function(Y, alpha, st)
+        assert "_arrays" not in vars(Y)
+        mat = evaluation_matrix(Y, alpha, st)[0]
+        assert k == rank_mod_q(mat, q)
+        assert k == hilbert_of_lattice(vanishing_lattice(Y, st), alpha, st)
+        if k == 0:
+            return
+        # one row per class: independent, and they span every row
+        rows = codes._code(Y, alpha, st)[2]()
+        assert rows.shape == (k, len(Y))
+        assert rank_mod_q(rows, q) == k
+        assert rank_mod_q(np.vstack([rows, mat]), q) == k
+        if (q**k - 1) // (q - 1) <= 10**4:
+            cs = code_parameters(Y, alpha, st, compute_d=True, cap=10**4)
+            assert cs.d == minimum_distance(row_space_basis(mat, q), q)
 
 
 class TestDegreeLeq:
@@ -433,10 +467,15 @@ class TestMinimumDistance:
         assert cs.d == projective_torus_distance(s, q, t)
 
 
+def no_elimination(*args):
+    raise AssertionError("elimination on a subgroup")
+
+
 class TestNoPointObjects:
     def test_codes_read_the_arrays(self, h2, monkeypatch):
-        # evaluation reads the representative array of a subgroup; only
-        # iteration builds TorusPoint objects
+        # k on a fresh subgroup reads its basis: no point is enumerated and
+        # nothing is eliminated; evaluation reads the representative
+        # array, and only iteration builds TorusPoint objects
         Y = degenerate_torus([2, 5, 4, 5], 10, h2)[0]
         built = []
         init = TorusPoint.__init__
@@ -446,13 +485,43 @@ class TestNoPointObjects:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(TorusPoint, "__init__", counting_init)
+        monkeypatch.setattr(codes, "_echelon", no_elimination)
         alpha = Degree(free=(5, 10))
         assert len(Y) == 50
         assert Y == degenerate_torus([2, 5, 4, 5], 10, h2)[0]
-        assert evaluation_matrix(Y, alpha, h2)[0].shape == (176, 50)
         assert hilbert_function(Y, alpha, h2) == 50
         assert code_parameters(Y, alpha, h2).k == 50
         assert hilbert_table(Y, [5], [10], h2) == [[50]]
+        assert "_arrays" not in vars(Y)
+        assert evaluation_matrix(Y, alpha, h2)[0].shape == (176, 50)
         assert built == []
         assert len(list(Y)) == 50
         assert len(built) == 50
+
+    def test_k_on_a_subgroup_eliminates_nothing(self, monkeypatch):
+        # the q = 101 torus of H_2: 10^4 points, 861 monomials of degree
+        # (20, 20), all in distinct classes
+        monkeypatch.setattr(codes, "_echelon", no_elimination)
+        st = make_h2(q=101)
+        Y = all_torus_points(st)
+        alpha = Degree(free=(20, 20))
+        assert hilbert_function(Y, alpha, st) == 861
+        cs = code_parameters(Y, alpha, st)
+        assert (cs.N, cs.k, cs.d) == (10**4, 861, None)
+        assert "_arrays" not in vars(Y)
+
+
+class TestPointSetOfNoSubgroup:
+    def test_rank_below_the_distinct_rows(self, h2):
+        # I(Y) is a lattice ideal only if Y is a subgroup: on these two
+        # points the 3 monomials of degree (2, 0) give 3 distinct
+        # evaluation rows, but of rank 2
+        Y = PointSet([identity_point(h2), point_from_rep([1, 0, 0, 0], h2)])
+        assert not Y.is_group
+        alpha = Degree(free=(2, 0))
+        mat = evaluation_matrix(Y, alpha, h2)[0]
+        assert mat.shape == (3, 2)
+        assert len(np.unique(mat, axis=0)) == 3
+        assert hilbert_function(Y, alpha, h2) == 2
+        cs = code_parameters(Y, alpha, h2, compute_d=True)
+        assert (cs.N, cs.k, cs.d) == (2, 2, 1)

@@ -11,7 +11,7 @@ import oracles
 from conftest import make_h2, make_p113, rows_to_lattice
 from torilat import intlin, lattice
 from torilat.errors import CapExceededError, ValidationError
-from torilat.grading import Degree
+from torilat.grading import Degree, setup_from_beta
 from torilat.lattice import (
     Binomial,
     complete_intersection,
@@ -168,6 +168,18 @@ class TestMixedDominating:
         for a in ([2, 5, 4, 5], [5, 2, 5, 4]):
             res = degenerate_lattice(a, 10, h2)
             assert complete_intersection(res.L, h2)
+
+    def test_false_is_no_proof_of_the_contrary(self):
+        # the Hermite basis of this degenerate lattice on P^3 is not mixed
+        # dominating, but another basis of the same lattice is, so I_L is
+        # a complete intersection all the same
+        st = setup_from_beta([[1, 1, 1, 1]], 7)
+        L = degenerate_lattice([1, 2, 2, 1], 6, st).L
+        assert not complete_intersection(L, st)
+        other = intlin.from_columns(
+            [[0, 3, -3, 0], [6, 0, 0, -6], [0, 0, 6, -6]], 4)
+        assert intlin.lattice_equal(L, other)
+        assert is_mixed(other) and is_dominating(other)
 
     def test_ci_requires_pointed_grading_when_certifying(self):
         from torilat.grading import ToricSetup
