@@ -139,7 +139,7 @@ def hilbert_table(Y: PointSet, first_values, second_values, setup: ToricSetup):
 def degree_leq(alpha: Degree, alpha2: Degree, setup: ToricSetup) -> bool:
     """alpha <= alpha2 iff alpha2 - alpha lies in the degree semigroup,
     i.e. some monomial has degree alpha2 - alpha."""
-    setup._require_torsion_free("semigroup comparison")
+    setup._require_degrees("semigroup comparison", alpha, alpha2)
     diff = setup.sub_degrees(alpha2, alpha)
     return bool(
         _enumerate_solutions(diff.free, setup, range(setup.r), find_one=True)

@@ -106,6 +106,13 @@ class ToricSetup:
                 f"{what} is only supported for torsion-free gradings"
             )
 
+    def _require_degrees(self, what: str, *degrees: Degree):
+        """Reject a torsion grading, and any degree whose free rank is not
+        k (before zip or the search can cut it short or overrun it)."""
+        self._require_torsion_free(what)
+        if any(len(d.free) != self.k for d in degrees):
+            raise ValidationError("degree has wrong free rank")
+
     def right_inverse(self):
         """Integer R (r x n) with phi^T R = I_n: the first n columns of the
         transform W of the column Hermite form phi^T W = H, which is
@@ -306,7 +313,11 @@ def positive_functional(setup: ToricSetup):
 
 def _enumerate_solutions(alpha_free, setup, allowed, find_one=False):
     """All a in N^r supported on `allowed` with beta_free . a = alpha_free,
-    in ascending lexicographic order.  Requires a pointed grading."""
+    in ascending lexicographic order.  Requires a pointed grading.
+
+    The last allowed exponent is solved from one row of the remainder
+    rather than searched; it still counts top + 1 nodes, so the cap trips
+    where a search of every value would."""
     w = positive_functional(setup)
     if w is None:
         raise ValidationError(
@@ -316,18 +327,20 @@ def _enumerate_solutions(alpha_free, setup, allowed, find_one=False):
         sum(w[i] * setup.beta_free[i][j] for i in range(setup.k))
         for j in range(setup.r)
     ]
+    cols = [[row[j] for row in setup.beta_free] for j in range(setup.r)]
+    # a row with beta_ij != 0 exists for every j, since w . beta_j > 0
+    pivots = [next(i for i, b in enumerate(col) if b) for col in cols]
     target = list(alpha_free)
     budget = sum(wi * ai for wi, ai in zip(w, target))
     out = []
     a = [0] * setup.r
     allowed = sorted(allowed)
+    last = len(allowed) - 1
     nodes = 1
 
     def rec(pos, rem, bud):
         nonlocal nodes
-        if find_one and out:
-            return
-        if pos == len(allowed):
+        if pos > last:  # nothing is allowed
             if not any(rem):
                 out.append(tuple(a))
             return
@@ -337,14 +350,24 @@ def _enumerate_solutions(alpha_free, setup, allowed, find_one=False):
         if nodes > MONOMIAL_SEARCH_CAP:
             raise CapExceededError(
                 f"monomial search passed {MONOMIAL_SEARCH_CAP} nodes")
+        col = cols[j]
+        if pos == last:
+            v, r = divmod(rem[pivots[j]], col[pivots[j]])
+            if r == 0 and 0 <= v <= top and all(
+                x == v * b for x, b in zip(rem, col)
+            ):
+                a[j] = v
+                out.append(tuple(a))
+                a[j] = 0
+            return
+        rem = list(rem)
         for v in range(top + 1):
             a[j] = v
-            new_rem = [
-                rem[i] - v * setup.beta_free[i][j] for i in range(setup.k)
-            ]
-            rec(pos + 1, new_rem, bud - v * weights[j])
+            rec(pos + 1, rem, bud - v * weights[j])
             if find_one and out:
                 break
+            for i, b in enumerate(col):
+                rem[i] -= b
         a[j] = 0
 
     if budget >= 0:
@@ -355,9 +378,7 @@ def _enumerate_solutions(alpha_free, setup, allowed, find_one=False):
 def monomial_basis(alpha: Degree, setup: ToricSetup):
     """All exponent vectors a in N^r of degree alpha, lexicographically
     ascending.  Torsion-graded enumeration is not supported."""
-    setup._require_torsion_free("monomial enumeration")
-    if len(alpha.free) != setup.k:
-        raise ValidationError("degree has wrong free rank")
+    setup._require_degrees("monomial enumeration", alpha)
     cached = setup._monomial_cache.get(alpha.free)
     if cached is None:
         cached = _enumerate_solutions(alpha.free, setup, range(setup.r))
@@ -368,7 +389,7 @@ def monomial_basis(alpha: Degree, setup: ToricSetup):
 def in_semigroup_Khat(alpha: Degree, setup: ToricSetup) -> bool:
     """True iff for every maximal cone sigma there is a monomial of
     degree alpha supported off sigma."""
-    setup._require_torsion_free("semigroup membership")
+    setup._require_degrees("semigroup membership", alpha)
     if setup.max_cones is None:
         raise ValidationError("setup has no maximal cones")
     for cone in setup.max_cones:

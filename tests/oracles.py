@@ -21,6 +21,10 @@ row-subset test in `torilat.lattice.is_dominating` replaced.
 
 Minimum distance: the search one projective message at a time that the
 batched search in `torilat.codes.minimum_distance` replaced.
+
+Monomial enumeration: the search that tries every value of the last
+exponent too, which `torilat.grading._enumerate_solutions` replaced by
+solving for it.
 """
 
 from itertools import combinations, product
@@ -30,6 +34,7 @@ import numpy as np
 
 from torilat import intlin
 from torilat.errors import ValidationError
+from torilat.grading import positive_functional
 from torilat.intlin import IntMatrix, column_hnf, hnf, identity, mat_vec, shape
 from torilat.torus import PointSet, identity_point, point_from_canon, point_from_rep
 
@@ -290,3 +295,54 @@ def min_distance_by_messages(basis, q):
             if best == 1:
                 break
     return best
+
+
+# monomial enumeration -------------------------------------------------
+
+
+def monomials_by_full_search(alpha_free, setup, allowed, find_one=False):
+    """(monomials, nodes): all a in N^r supported on `allowed` with
+    beta_free . a = alpha_free in ascending lexicographic order, by a
+    search over every value of every allowed exponent, and the number of
+    search nodes it visits.  No cap: the library's cap is compared
+    against `nodes`."""
+    w = positive_functional(setup)
+    if w is None:
+        raise ValidationError(
+            "grading is not pointed; monomial enumeration needs an explicit cap"
+        )
+    weights = [
+        sum(w[i] * setup.beta_free[i][j] for i in range(setup.k))
+        for j in range(setup.r)
+    ]
+    target = list(alpha_free)
+    budget = sum(wi * ai for wi, ai in zip(w, target))
+    out = []
+    a = [0] * setup.r
+    allowed = sorted(allowed)
+    nodes = 1
+
+    def rec(pos, rem, bud):
+        nonlocal nodes
+        if find_one and out:
+            return
+        if pos == len(allowed):
+            if not any(rem):
+                out.append(tuple(a))
+            return
+        j = allowed[pos]
+        top = bud // weights[j]
+        nodes += top + 1  # the children, counted once by their parent
+        for v in range(top + 1):
+            a[j] = v
+            new_rem = [
+                rem[i] - v * setup.beta_free[i][j] for i in range(setup.k)
+            ]
+            rec(pos + 1, new_rem, bud - v * weights[j])
+            if find_one and out:
+                break
+        a[j] = 0
+
+    if budget >= 0:
+        rec(0, target, budget)
+    return out, nodes

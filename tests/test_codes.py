@@ -26,7 +26,7 @@ from torilat.codes import (
     row_space_basis,
 )
 from torilat.errors import CapExceededError, ValidationError
-from torilat.grading import Degree, monomial_basis, setup_from_rays
+from torilat.grading import Degree, in_semigroup_Khat, monomial_basis, setup_from_rays
 from torilat.lattice import degenerate_lattice, hilbert_of_lattice
 from torilat.torus import (
     PointSet,
@@ -249,6 +249,24 @@ class TestDegreeLeq:
             alpha = Degree(free=(rng.randint(-4, 6), rng.randint(0, 4)))
             if injectivity_certified(a, h, alpha, h2):
                 assert injectivity_exact(a, h, alpha, h2)
+
+    @pytest.mark.parametrize("free", [(1,), (1, 0, 7)])
+    def test_wrong_degree_rank_rejected(self, h2, free):
+        """A degree whose free rank is not k is rejected, in either place
+        of degree_leq, before a zip can cut it short or the search can
+        index past it."""
+        bad, good = Degree(free=free), Degree(free=(3, 3))
+        calls = [
+            lambda: degree_leq(bad, good, h2),
+            lambda: degree_leq(good, bad, h2),
+            lambda: injectivity_check([5, 2, 5, 4], 10, bad, h2),
+            lambda: injectivity_certified([5, 2, 5, 4], 10, bad, h2),
+            lambda: in_semigroup_Khat(bad, h2),
+            lambda: monomial_basis(bad, h2),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="free rank"):
+                call()
 
     @pytest.mark.parametrize(
         "test", [injectivity_check, injectivity_certified, injectivity_exact]

@@ -1,9 +1,13 @@
 """Grading setup, degrees, homogeneity, monomial enumeration."""
 
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+import oracles
 from conftest import make_h2, make_p113, rows_to_lattice
 from torilat import grading, intlin
 from torilat.errors import CapExceededError, ValidationError
@@ -145,9 +149,57 @@ class TestMonomialBasis:
         monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 140_000)
         assert len(monomial_basis(Degree(free=(20, 10)), make_h2())) == 341
 
+    def test_search_cap_at_the_node_count(self, monkeypatch):
+        # the cap bounds nodes, not calls: solving the last exponent
+        # instead of trying its values still trips it at the same node
+        h2 = make_h2()
+        mons, nodes = oracles.monomials_by_full_search((20, 10), h2, range(4))
+        assert (len(mons), nodes) == (341, 138_330)
+        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 138_329)
+        with pytest.raises(CapExceededError):
+            monomial_basis(Degree(free=(20, 10)), h2)
+        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 138_330)
+        assert monomial_basis(Degree(free=(20, 10)), h2) == mons
+
     def test_lex_ascending(self, h2):
         mons = monomial_basis(Degree(free=(2, 3)), h2)
         assert mons == sorted(mons)
+
+
+POINTED = [
+    make_h2(),
+    make_p113(),
+    setup_from_beta([[1, 1, 1]], 11),  # P^2
+    setup_from_beta([[1, 2, 3, 4, 5]], 11),
+    # P^2 blown up at two points: class group Z^3
+    setup_from_rays([[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]], 11),
+]
+
+
+@hst.composite
+def searches(draw):
+    setup = draw(hst.sampled_from(POINTED))
+    alpha = tuple(
+        draw(hst.lists(hst.integers(-3, 9), min_size=setup.k, max_size=setup.k))
+    )
+    keep = draw(hst.lists(hst.booleans(), min_size=setup.r, max_size=setup.r))
+    allowed = [j for j in range(setup.r) if keep[j]]
+    return setup, alpha, allowed, draw(hst.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(searches())
+def test_enumeration_matches_full_search(case):
+    """Same monomials in the same order, and the cap trips at the same
+    node, as the search over every value of the last exponent."""
+    setup, alpha, allowed, find_one = case
+    want, nodes = oracles.monomials_by_full_search(alpha, setup, allowed, find_one)
+    with mock.patch.object(grading, "MONOMIAL_SEARCH_CAP", nodes):
+        assert grading._enumerate_solutions(alpha, setup, allowed, find_one) == want
+    if nodes > 1:  # the root is counted but never checked against the cap
+        with mock.patch.object(grading, "MONOMIAL_SEARCH_CAP", nodes - 1):
+            with pytest.raises(CapExceededError):
+                grading._enumerate_solutions(alpha, setup, allowed, find_one)
 
 
 class TestSemigroupMembership:
