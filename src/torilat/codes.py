@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
-from .grading import Degree, ToricSetup, monomial_basis, _enumerate_solutions
+from .grading import (
+    Degree,
+    ToricSetup,
+    _enumerate_solutions,
+    degree_of,
+    monomial_basis,
+)
 from .torus import PointSet, _diagonal_orders
 
 DEFAULT_MESSAGE_CAP = 10**6
@@ -140,10 +146,8 @@ def degree_leq(alpha: Degree, alpha2: Degree, setup: ToricSetup) -> bool:
     """alpha <= alpha2 iff alpha2 - alpha lies in the degree semigroup,
     i.e. some monomial has degree alpha2 - alpha."""
     setup._require_degrees("semigroup comparison", alpha, alpha2)
-    diff = setup.sub_degrees(alpha2, alpha)
-    return bool(
-        _enumerate_solutions(diff.free, setup, range(setup.r), find_one=True)
-    )
+    diff = [y - x for x, y in zip(alpha.free, alpha2.free)]
+    return bool(_enumerate_solutions(diff, setup, range(setup.r), find_one=True))
 
 
 def injectivity_check(a, h, alpha: Degree, setup: ToricSetup) -> bool:
@@ -157,12 +161,7 @@ def injectivity_check(a, h, alpha: Degree, setup: ToricSetup) -> bool:
     injectivity_certified for a provable sufficient condition.
     """
     d = _diagonal_orders(a, h, setup)
-    bound = setup.zero_degree()
-    for j in range(setup.r):
-        bound = setup.add_degrees(
-            bound, setup.scale_degree(d[j], setup.variable_degree(j))
-        )
-    return degree_leq(alpha, bound, setup)
+    return degree_leq(alpha, degree_of(d, setup), setup)
 
 
 def injectivity_certified(a, h, alpha: Degree, setup: ToricSetup) -> bool:
@@ -176,7 +175,9 @@ def injectivity_certified(a, h, alpha: Degree, setup: ToricSetup) -> bool:
     d = _diagonal_orders(a, h, setup)
     return all(
         not degree_leq(
-            setup.scale_degree(d[j], setup.variable_degree(j)), alpha, setup
+            degree_of([d[j] if i == j else 0 for i in range(setup.r)], setup),
+            alpha,
+            setup,
         )
         for j in range(setup.r)
     )

@@ -1,8 +1,8 @@
 """The grading of the Cox ring.
 
 Builds the exact sequence 0 -> Z^n -> Z^r -> A -> 0 from fan rays (or
-from an explicit degree matrix), does degree arithmetic in A, checks
-lattice homogeneity, and enumerates monomial bases of graded pieces.
+from an explicit degree matrix), computes degrees in A, checks lattice
+homogeneity, and enumerates monomial bases of graded pieces.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ class ToricSetup:
                 raise ValidationError("zero ray vector")
             if self._check_primitive and gcd(*(abs(x) for x in v)) != 1:
                 raise ValidationError(f"non-primitive ray {v}")
-        if intlin.snf(self.phi).rank != self.n:
+        phi_snf = intlin.snf(self.phi)
+        if phi_snf.rank != self.n:
             raise ValidationError("rays do not span Q^n")
         if self.max_cones is not None:
             for c in self.max_cones:
@@ -81,10 +82,16 @@ class ToricSetup:
             for d, row in self.torsion:
                 if sum(a * b for a, b in zip(row, col)) % d != 0:
                     raise ValidationError("torsion row does not annihilate im(phi)")
-        if not self.torsion and self.k:
-            ker = intlin.integer_kernel(self.beta_free)
-            if not intlin.lattice_equal(ker, self.phi_columns_matrix()):
-                raise ValidationError("ker(beta) != im(phi)")
+        # With beta phi = 0, ker(beta) = im(phi) exactly when im(phi) is
+        # saturated (every invariant factor of phi is 1) and both have
+        # rank n.
+        beta_rank = intlin.snf(self.beta_free).rank if self.k else 0
+        if not self.torsion and self.k and (
+            any(f != 1 for f in phi_snf.diagonal) or beta_rank != self.r - self.n
+        ):
+            raise ValidationError("ker(beta) != im(phi)")
+        if beta_rank != self.k:
+            raise ValidationError("beta rows are dependent")
         torsion_order = 1
         for d, _ in self.torsion:
             torsion_order *= d
@@ -94,11 +101,6 @@ class ToricSetup:
                 "characteristic; quotient constructions may misbehave",
                 stacklevel=3,
             )
-
-    def phi_columns_matrix(self):
-        """phi as a map Z^n -> Z^r: the r x n matrix itself (columns span
-        the homogeneity lattice L_beta when A is torsion free)."""
-        return intlin.copy_matrix(self.phi)
 
     def _require_torsion_free(self, what: str):
         if self.torsion:
@@ -126,35 +128,6 @@ class ToricSetup:
                 raise ValidationError("phi^T is not surjective over Z")
             self._right_inverse = [row[:self.n] for row in W]
         return self._right_inverse
-
-    # degree arithmetic -------------------------------------------------
-
-    def degree(self, free, torsion=()):
-        tor = tuple(
-            t % d for t, (d, _) in zip(torsion, self.torsion)
-        ) if self.torsion else ()
-        return Degree(free=tuple(free), torsion=tor)
-
-    def zero_degree(self) -> Degree:
-        return Degree(free=(0,) * self.k, torsion=tuple(0 for _ in self.torsion))
-
-    def add_degrees(self, a: Degree, b: Degree) -> Degree:
-        return self.degree(
-            [x + y for x, y in zip(a.free, b.free)],
-            [x + y for x, y in zip(a.torsion, b.torsion)],
-        )
-
-    def sub_degrees(self, a: Degree, b: Degree) -> Degree:
-        return self.degree(
-            [x - y for x, y in zip(a.free, b.free)],
-            [x - y for x, y in zip(a.torsion, b.torsion)],
-        )
-
-    def scale_degree(self, c: int, a: Degree) -> Degree:
-        return self.degree([c * x for x in a.free], [c * x for x in a.torsion])
-
-    def variable_degree(self, j: int) -> Degree:
-        return degree_of([1 if i == j else 0 for i in range(self.r)], self)
 
     def __repr__(self):
         return (
@@ -196,13 +169,10 @@ def setup_from_beta(beta, q, max_cones=None) -> ToricSetup:
     im(phi) holds by construction.  Rows of beta must be Z-independent.
     """
     beta = [list(row) for row in beta]
-    k, r = intlin.shape(beta)
+    k, _ = intlin.shape(beta)
     if intlin.snf(beta).rank != k:
         raise ValidationError("beta rows are dependent")
     phi = intlin.kernel_basis_canonical(beta)
-    _, nk = intlin.shape(phi)
-    if nk != r - k:
-        raise ValidationError("beta kernel has unexpected rank")
     # rows of a kernel basis need not be primitive; the kernel lattice is
     # saturated, which is all the torus machinery needs
     return ToricSetup(phi, beta, [], q, max_cones, check_primitive=False)

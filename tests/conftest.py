@@ -57,7 +57,7 @@ def random_homogeneous_lattice(setup, rng, extra=2, span=3, contain_full=True):
     is exactly the condition under which it is the vanishing lattice of
     its own zero set.
     """
-    phi = setup.phi_columns_matrix()
+    phi = setup.phi
     cols = [
         intlin.mat_vec(phi, random_int_vector(rng, setup.n, span))
         for _ in range(extra)

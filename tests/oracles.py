@@ -7,8 +7,10 @@ the gcd of k x k minors (whose running products are the Smith
 invariants), a general integer solver (one column HNF per right-hand
 side) and the inverse of a unimodular matrix, which the right inverse,
 exponent lattice and group structure in `torilat` replaced with reads of
-Hermite and Smith forms already at hand.  Matrices over F_q: rank by
-plain-list Gaussian elimination.
+Hermite and Smith forms already at hand.  The exactness test
+ker(beta) = im(phi) by comparing two lattices, which the set-up check in
+`torilat.grading.ToricSetup` replaced with the Smith forms of phi and
+beta.  Matrices over F_q: rank by plain-list Gaussian elimination.
 
 Torus subgroups: the point-by-point constructions that the lattice path
 in `torilat.torus` replaced — a sweep of every canonical form, a sweep of
@@ -132,6 +134,13 @@ def inverse_unimodular(U: IntMatrix) -> IntMatrix:
     if H != identity(n):
         raise ValidationError("matrix is not unimodular")
     return W
+
+
+def kernel_is_image(beta, phi):
+    """ker(beta) = im(phi): an integer kernel basis of beta and the
+    columns of phi span the same lattice."""
+    ker = intlin.integer_kernel(beta)
+    return intlin.lattice_equal(ker, phi)
 
 
 def rank_mod_q(rows, q):

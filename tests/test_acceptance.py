@@ -17,7 +17,7 @@ from conftest import (
 )
 from torilat import intlin
 from torilat.codes import degree_leq, hilbert_function, hilbert_table
-from torilat.grading import Degree, monomial_basis
+from torilat.grading import Degree, degree_of, monomial_basis
 from torilat.lattice import (
     degenerate_lattice,
     hilbert_of_lattice,
@@ -180,7 +180,7 @@ def test_criterion_07_ci_criterion():
     ok = True
     for ell in (1, 2, 3, 4, 5):
         st = make_h2(ell=ell)
-        gamma = st.phi_columns_matrix()
+        gamma = st.phi
         ok = ok and is_mixed(gamma) and is_dominating(gamma)
     rows = [[0, 1], [1, 1], [1, 0], [1, -1], [0, -1], [-1, -1], [-1, 0], [-1, 1]]
     ok = ok and is_mixed(rows) and not is_dominating(rows)
@@ -243,11 +243,7 @@ def test_criterion_09_injectivity():
     st = make_h2()
     Y10, _ = degenerate_torus([5, 2, 5, 4], 10, st)
     alpha = Degree(free=(1, 0))
-    bound = st.zero_degree()
-    d = [2, 5, 2, 5]
-    for j in range(4):
-        bound = st.add_degrees(bound, st.scale_degree(d[j], st.variable_degree(j)))
-    ok = degree_leq(alpha, bound, st)
+    ok = degree_leq(alpha, degree_of([2, 5, 2, 5], st), st)
     ok = ok and hilbert_function(Y10, alpha, st) == len(monomial_basis(alpha, st)) == 2
 
     rng = random.Random(909)
@@ -256,15 +252,9 @@ def test_criterion_09_injectivity():
         a = [rng.randint(1, 10) for _ in range(4)]
         h = rng.choice([1, 2, 5, 10])
         dd = [h // gcd(h, ai) for ai in a]
-        b = st.zero_degree()
-        for j in range(4):
-            b = st.add_degrees(b, st.scale_degree(dd[j], st.variable_degree(j)))
+        b = degree_of(dd, st)
         c = [rng.randint(0, 2) for _ in range(4)]
-        alpha_r = st.zero_degree()
-        for j in range(4):
-            alpha_r = st.add_degrees(
-                alpha_r, st.scale_degree(c[j], st.variable_degree(j))
-            )
+        alpha_r = degree_of(c, st)
         if not degree_leq(alpha_r, b, st):
             continue
         if not injectivity_certified(a, h, alpha_r, st):

@@ -355,6 +355,22 @@ def with_leaf(doc, path, value):
     return doc
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["code", "degenerate-lattice", "parameterize", "subgroup-info",
+     "torus-ideal"],
+)
+def test_dependent_beta_exits_2(capsys, tmp_path, command):
+    # the third row of beta is the sum of the first two
+    doc = with_leaf(H2_DOC, ["variety", "beta"],
+                    [[1, -2, 1, 0], [0, 1, 0, 1], [1, -1, 1, 1]])
+    doc["task"]["lattice"] = [[10, 0, -10, 0], [0, 5, 10, -5]]
+    f = tmp_path / "dependent_beta.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(f))
+    assert (code, out, err) == (2, "", "error: beta rows are dependent\n")
+
+
 class TestInputContract:
     """Every malformed document exits 2 with a message, never a traceback."""
 

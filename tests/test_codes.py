@@ -26,7 +26,13 @@ from torilat.codes import (
     row_space_basis,
 )
 from torilat.errors import CapExceededError, ValidationError
-from torilat.grading import Degree, in_semigroup_Khat, monomial_basis, setup_from_rays
+from torilat.grading import (
+    Degree,
+    degree_of,
+    in_semigroup_Khat,
+    monomial_basis,
+    setup_from_rays,
+)
 from torilat.lattice import degenerate_lattice, hilbert_of_lattice
 from torilat.torus import (
     PointSet,
@@ -89,7 +95,7 @@ class TestRank:
 
 class TestEvaluationMatrix:
     def test_degree_zero_is_all_ones(self, h2, y10):
-        mat, mons, a0 = evaluation_matrix(y10, h2.zero_degree(), h2)
+        mat, mons, a0 = evaluation_matrix(y10, degree_of([0, 0, 0, 0], h2), h2)
         assert mons == [(0, 0, 0, 0)]
         assert a0 == (0, 0, 0, 0)
         assert (mat == 1).all()
@@ -124,7 +130,7 @@ class TestEvaluationMatrix:
         from torilat.torus import PointSet
 
         with pytest.raises(ValidationError):
-            evaluation_matrix(PointSet([]), h2.zero_degree(), h2)
+            evaluation_matrix(PointSet([]), degree_of([0, 0, 0, 0], h2), h2)
 
 
 class TestHilbert:
@@ -153,7 +159,7 @@ class TestHilbert:
             assert hilbert_function(y10, alpha, h2) <= len(y10)
 
     def test_table_requires_rank_two_grading(self, p113):
-        Y = zero_set_in_torus(p113.phi_columns_matrix(), p113)
+        Y = zero_set_in_torus(p113.phi, p113)
         with pytest.raises(ValidationError):
             hilbert_table(Y, [0], [0], p113)
 
@@ -289,7 +295,7 @@ class TestCodeParameters:
         assert 1 <= cs.d <= cs.N - cs.k + 1
 
     def test_repetition_like_degree_zero(self, h2, y10):
-        cs = code_parameters(y10, h2.zero_degree(), h2, compute_d=True)
+        cs = code_parameters(y10, degree_of([0, 0, 0, 0], h2), h2, compute_d=True)
         assert (cs.N, cs.k, cs.d) == (10, 1, 10)
 
     def test_zero_code(self, h2, y10):

@@ -4,7 +4,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import oracles
@@ -50,7 +50,7 @@ class TestSetupConstruction:
         displayed = intlin.transpose(
             [[1, -1, 0, 0], [-1, 0, 1, 0], [0, 3, 0, -1]]
         )
-        assert intlin.lattice_equal(st.phi_columns_matrix(), displayed)
+        assert intlin.lattice_equal(st.phi, displayed)
 
     def test_beta_must_annihilate_rays(self):
         with pytest.raises(ValidationError):
@@ -76,13 +76,83 @@ class TestSetupConstruction:
         with pytest.raises(ValidationError):
             make_h2(q=10)
 
+    def test_torsion_class_group_needs_rays_alone(self):
+        # beta phi = 0 and rank beta = r - n, but the rays span an index-2
+        # sublattice of their saturation: the class group has Z/2 torsion
+        with pytest.raises(ValidationError, match=r"ker\(beta\) != im\(phi\)"):
+            ToricSetup([[1, 1], [1, -1], [-1, -1], [-1, 1]],
+                       [[1, 0, 1, 0], [0, 1, 0, 1]], [], 11)
+
+    def test_too_few_beta_rows(self):
+        with pytest.raises(ValidationError, match=r"ker\(beta\) != im\(phi\)"):
+            ToricSetup([[1, 0], [0, 1], [-1, 2], [0, -1]], [[1, -2, 1, 0]], [], 11)
+
+    def test_dependent_beta_rejected(self):
+        # the third row is the sum of the first two: ker(beta) = im(phi),
+        # yet a k = 3 grading of a rank-2 class group
+        with pytest.raises(ValidationError, match="beta rows are dependent"):
+            ToricSetup([[1, 0], [0, 1], [-1, 2], [0, -1]],
+                       [[1, -2, 1, 0], [0, 1, 0, 1], [1, -1, 1, 1]], [], 11)
+        with pytest.raises(ValidationError, match="beta rows are dependent"):
+            setup_from_beta([[1, 1, 1, 3], [2, 2, 2, 6]], 11)
+
+    def test_one_smith_form_per_matrix(self, monkeypatch):
+        # a setup given rays and beta is checked by the Smith forms of
+        # phi and beta alone: no kernel, Hermite form or lattice comparison
+        def refuse(*args):
+            raise AssertionError("set-up check left the Smith forms")
+
+        for name in ("integer_kernel", "lattice_equal", "hnf"):
+            monkeypatch.setattr(intlin, name, refuse)
+        assert make_h2().k == 2
+
+
+@hst.composite
+def gradings(draw):
+    """phi of rank n with no zero row, and beta whose rows are integer
+    combinations of a basis of the left kernel of phi."""
+    r = draw(hst.integers(2, 5))
+    n = draw(hst.integers(1, r - 1))
+    phi = [draw(hst.lists(hst.integers(-3, 3), min_size=n, max_size=n))
+           for _ in range(r)]
+    assume(all(any(row) for row in phi) and intlin.snf(phi).rank == n)
+    left = intlin.columns(intlin.integer_kernel(intlin.transpose(phi)))
+    k = draw(hst.sampled_from([k for k in (r - n - 1, r - n, r - n + 1) if k]))
+    beta = []
+    for _ in range(k):
+        coef = draw(hst.lists(hst.integers(-2, 2), min_size=len(left),
+                              max_size=len(left)))
+        beta.append([sum(c * y[j] for c, y in zip(coef, left)) for j in range(r)])
+    return phi, beta
+
+
+def _rank(M):
+    return max(k for k in range(len(M) + 1) if oracles.gcd_of_minors(M, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gradings())
+def test_validation_matches_kernel_oracle(case):
+    """A setup is accepted iff ker(beta) = im(phi) and beta has independent
+    rows; a kernel failure is reported first."""
+    phi, beta = case
+    exact = oracles.kernel_is_image(beta, phi)
+    try:
+        ToricSetup(phi, beta, [], 5, check_primitive=False)
+    except ValidationError as exc:
+        assert not (exact and _rank(beta) == len(beta))
+        want = "beta rows are dependent" if exact else "ker(beta) != im(phi)"
+        assert str(exc) == want
+    else:
+        assert exact and _rank(beta) == len(beta)
+
 
 class TestDegrees:
     def test_variable_degrees_h2(self, h2):
-        assert h2.variable_degree(0).free == (1, 0)
-        assert h2.variable_degree(1).free == (-2, 1)
-        assert h2.variable_degree(2).free == (1, 0)
-        assert h2.variable_degree(3).free == (0, 1)
+        assert degree_of([1, 0, 0, 0], h2).free == (1, 0)
+        assert degree_of([0, 1, 0, 0], h2).free == (-2, 1)
+        assert degree_of([0, 0, 1, 0], h2).free == (1, 0)
+        assert degree_of([0, 0, 0, 1], h2).free == (0, 1)
 
     def test_degree_of_monomial(self, h2):
         assert degree_of([2, 1, 0, 0], h2).free == (0, 1)
@@ -99,7 +169,7 @@ class TestPositiveFunctional:
         w = positive_functional(h2)
         assert w is not None
         for j in range(h2.r):
-            d = h2.variable_degree(j).free
+            d = degree_of([int(i == j) for i in range(h2.r)], h2).free
             assert sum(a * b for a, b in zip(w, d)) > 0
 
     def test_p113_is_pointed(self, p113):
@@ -125,8 +195,8 @@ class TestMonomialBasis:
         ]
 
     def test_zero_degree(self, h2, p113):
-        assert monomial_basis(h2.zero_degree(), h2) == [(0, 0, 0, 0)]
-        assert monomial_basis(p113.zero_degree(), p113) == [(0, 0, 0, 0)]
+        assert monomial_basis(degree_of([0] * 4, h2), h2) == [(0, 0, 0, 0)]
+        assert monomial_basis(degree_of([0] * 4, p113), p113) == [(0, 0, 0, 0)]
 
     def test_empty_outside_semigroup(self, h2):
         assert monomial_basis(Degree(free=(-1, 0)), h2) == []

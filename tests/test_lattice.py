@@ -114,7 +114,7 @@ class TestDegenerateLattice:
         # h = 1 collapses to the identity point: L = L_beta itself
         res = degenerate_lattice([1, 1, 1, 1], 1, h2)
         assert res.D == [1, 1, 1, 1]
-        assert intlin.lattice_equal(res.L, h2.phi_columns_matrix())
+        assert intlin.lattice_equal(res.L, h2.phi)
 
 
 class TestMixedDominating:
@@ -126,7 +126,7 @@ class TestMixedDominating:
     @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
     def test_hirzebruch_kernels_are_mixed_dominating(self, ell):
         st = make_h2(ell=ell)
-        gamma = st.phi_columns_matrix()
+        gamma = st.phi
         assert is_mixed(gamma)
         assert is_dominating(gamma)
 

@@ -194,14 +194,14 @@ class TestVanishingLattice:
     def test_full_torus_gives_scaled_lattice(self, h2):
         Y = all_torus_points(h2)
         L = vanishing_lattice(Y, h2)
-        phi = h2.phi_columns_matrix()
+        phi = h2.phi
         scaled = [[10 * x for x in row] for row in phi]
         assert intlin.lattice_equal(L, scaled)
 
     def test_identity_only_gives_full_homogeneity_lattice(self, h2):
         Y = subgroup_closure([], h2)
         L = vanishing_lattice(Y, h2)
-        assert intlin.lattice_equal(L, h2.phi_columns_matrix())
+        assert intlin.lattice_equal(L, h2.phi)
 
 
 class TestZeroSet:
@@ -376,7 +376,7 @@ class TestStoredLattice:
         assert group_structure(Y, st).orders == (100, 100, 100)
         L = vanishing_lattice(Y, st)
         assert intlin.lattice_equal(
-            L, [[100 * x for x in row] for row in st.phi_columns_matrix()]
+            L, [[100 * x for x in row] for row in st.phi]
         )
         assert Y == all_torus_points(st)
         assert "_arrays" not in vars(Y)
