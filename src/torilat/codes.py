@@ -24,11 +24,10 @@ from .grading import (
 from .torus import PointSet, _diagonal_orders
 
 DEFAULT_MESSAGE_CAP = 10**6
-# Entries in one temporary of the minimum-distance search (a block of
-# messages times a tile of columns).  Blocks keep at least
-# SEARCH_MIN_ROWS messages, so a long code is tiled over its columns.
-SEARCH_TILE = 2**14
-SEARCH_MIN_ROWS = 64
+# Entries in one temporary of the minimum-distance search: the table of
+# tail combinations, or a block of messages against it.  A block holds
+# at least one message, so a code longer than this has N-entry blocks.
+SEARCH_ENTRIES = 2**16
 # a search of more projective messages is refused; below it every message
 # index is an exact int64
 _INDEX_LIMIT = 2**62
@@ -198,12 +197,15 @@ def minimum_distance(basis: np.ndarray, q: int) -> int:
     k x N int64 residue matrix of rank k >= 1 over F_q.
 
     The search is exhaustive over one message per scalar class: for each
-    leading position `lead`, the messages (0, ..., 0, 1, tail) with tail
-    in F_q^m, m = k - lead - 1, in lexicographic order of tail.  A block
-    of consecutive tails is a matrix of base-q digits, and its words are
-    one int64 product mod q, taken over column tiles.  The search stops
-    at weight 1.  A search of more than 2^62 messages could never finish
-    and raises CapExceededError before any work.
+    leading position `lead`, the messages (0, ..., 0, 1, tail), tail in
+    F_q^m (m = k - lead - 1) in lexicographic order.  Per lead, the table
+    `neg` holds -(c . T_low) mod q for every combination c of the last
+    `low` < m tail digits, `low` as large as SEARCH_ENTRIES allows.  A
+    block of leading digits gives its partial words `part` by one int64
+    product mod q, and word (head, c) is zero in column j exactly when
+    part[j] == neg[c, j] (with low = 0, the zeros of `part` are counted).
+    The search stops at weight 1.  A search of more than 2^62 messages
+    could never finish and raises CapExceededError before any work.
     """
     k, N = basis.shape
     # (q^k - 1)/(q - 1) >= 2^k - 1, so k >= 64 needs no big-integer power
@@ -212,24 +214,32 @@ def minimum_distance(basis: np.ndarray, q: int) -> int:
             f"minimum distance needs ({q}^{k} - 1)/{q - 1} projective messages, "
             f"more than the search limit 2^62"
         )
-    rows = max(SEARCH_MIN_ROWS, SEARCH_TILE // N)
-    cols = SEARCH_TILE // rows
     best = N
     for lead in range(k):
-        tail = basis[lead + 1 :]
-        m = tail.shape[0]
-        # the products are exact while k (q-1)^2 + q < 2^63: at q <= 10^6,
-        # for k below 9 * 10^6
-        for start in range(0, q**m, rows):
-            index = np.arange(start, min(start + rows, q**m), dtype=np.int64)
-            digits = np.empty((index.size, m), dtype=np.int64)
-            for j in range(m - 1, -1, -1):
+        tail, m = basis[lead + 1 :], k - lead - 1
+        low = max([t for t in range(m) if q**t * N <= SEARCH_ENTRIES], default=0)
+        head, heads = tail[: m - low], q ** (m - low)
+        # neg[c] = -(c . T_low) mod q, c in F_q^low in lexicographic order
+        neg = np.zeros((1, N), dtype=np.int64)
+        for row in tail[m - low :]:
+            neg = (neg[:, None] - np.arange(q)[:, None] * row).reshape(-1, N) % q
+        # one buffer per lead: fresh block-sized temporaries page-fault
+        rows = min(heads, max(1, SEARCH_ENTRIES // neg.size))
+        buf = np.empty((rows, N), dtype=np.int64)
+        for start in range(0, heads, rows):
+            index = np.arange(start, min(start + rows, heads), dtype=np.int64)
+            digits = np.empty((index.size, m - low), dtype=np.int64)
+            for j in range(m - low - 1, -1, -1):
                 index, digits[:, j] = np.divmod(index, q)
-            weights = np.zeros(digits.shape[0], dtype=np.int64)
-            for c in range(0, N, cols):
-                words = digits @ tail[:, c : c + cols] + basis[lead, c : c + cols]
-                weights += np.count_nonzero(words % q, axis=1)
-            best = min(best, int(weights.min()))
+            # exact in int64: the product plus basis[lead] stays below
+            # k (q-1)^2 + q < 2^63 (at q <= 10^6, for k below 9 * 10^6), as
+            # does a table step; part and neg are compared as residues
+            part = np.matmul(digits, head, out=buf[: len(digits)])
+            part += basis[lead]
+            part %= q
+            zeros = (np.count_nonzero(neg == part[:, None], axis=2) if low
+                     else N - np.count_nonzero(part, axis=1))
+            best = min(best, N - int(zeros.max()))
             if best == 1:
                 return 1
     return best

@@ -84,14 +84,17 @@ class ToricSetup:
                     raise ValidationError("torsion row does not annihilate im(phi)")
         # With beta phi = 0, ker(beta) = im(phi) exactly when im(phi) is
         # saturated (every invariant factor of phi is 1) and both have
-        # rank n.
-        beta_rank = intlin.snf(self.beta_free).rank if self.k else 0
+        # rank n; beta maps onto Z^k when its invariant factors are 1.
+        beta_factors = intlin.snf(self.beta_free).diagonal if self.k else []
+        beta_rank = sum(1 for f in beta_factors if f)
         if not self.torsion and self.k and (
             any(f != 1 for f in phi_snf.diagonal) or beta_rank != self.r - self.n
         ):
             raise ValidationError("ker(beta) != im(phi)")
         if beta_rank != self.k:
             raise ValidationError("beta rows are dependent")
+        if any(f != 1 for f in beta_factors):
+            raise ValidationError("beta does not map onto Z^k")
         torsion_order = 1
         for d, _ in self.torsion:
             torsion_order *= d
@@ -169,10 +172,10 @@ def setup_from_beta(beta, q, max_cones=None) -> ToricSetup:
     im(phi) holds by construction.  Rows of beta must be Z-independent.
     """
     beta = [list(row) for row in beta]
-    k, _ = intlin.shape(beta)
-    if intlin.snf(beta).rank != k:
-        raise ValidationError("beta rows are dependent")
+    k, r = intlin.shape(beta)
     phi = intlin.kernel_basis_canonical(beta)
+    if intlin.shape(phi)[1] != r - k:  # the kernel has rank r - rank(beta)
+        raise ValidationError("beta rows are dependent")
     # rows of a kernel basis need not be primitive; the kernel lattice is
     # saturated, which is all the torus machinery needs
     return ToricSetup(phi, beta, [], q, max_cones, check_primitive=False)

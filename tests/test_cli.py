@@ -371,6 +371,18 @@ def test_dependent_beta_exits_2(capsys, tmp_path, command):
     assert (code, out, err) == (2, "", "error: beta rows are dependent\n")
 
 
+@pytest.mark.parametrize("alpha", ["5,10", "10,10"])
+def test_beta_not_onto_exits_2(capsys, tmp_path, alpha):
+    # ker(beta) = im(phi) with independent rows, but beta(Z^4) has index 2
+    # in Z^2: a degree off the image used to give a silent k = 0 code
+    doc = with_leaf(load_json("h2_q11.json"), ["variety", "beta"],
+                    [[2, -4, 2, 0], [0, 1, 0, 1]])
+    f = tmp_path / "h2_q11.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "code", str(f), "--alpha", alpha)
+    assert (code, out, err) == (2, "", "error: beta does not map onto Z^k\n")
+
+
 class TestInputContract:
     """Every malformed document exits 2 with a message, never a traceback."""
 

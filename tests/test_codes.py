@@ -2,6 +2,7 @@
 
 import random
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -467,14 +468,49 @@ class TestMinimumDistance:
         with pytest.raises(CapExceededError, match=r"\(2\^63 - 1\)/1"):
             minimum_distance(np.eye(63, dtype=np.int64), 2)
 
-    def test_several_column_tiles(self):
-        # N = 484 columns are more than one tile of SEARCH_MIN_ROWS rows holds
+    @pytest.mark.parametrize("low", [0, 1, 2])
+    @given(hst.sampled_from([2, 3, 5, 7, 11, 13]), hst.data())
+    @settings(max_examples=60, deadline=None)
+    def test_table_search_matches_the_message_loop(self, low, q, data):
+        # the entry bound is set so that lead 0 tabulates exactly `low`
+        # tail digits and takes blocks of rows < q head messages, hence
+        # several blocks per lead
+        k = data.draw(hst.integers(low + 2, 5))
+        n = data.draw(hst.integers(k, 30))
+        rows = data.draw(hst.integers(1, q - 1))
+        A = np.array(data.draw(hst.lists(
+            hst.lists(hst.integers(0, q - 1), min_size=n, max_size=n),
+            min_size=k, max_size=k,
+        )), dtype=np.int64)
+        A[:, data.draw(hst.lists(hst.integers(0, n - 1), max_size=n // 2))] = 0
+        if data.draw(hst.booleans()):  # a weight-1 word: d = 1
+            A[-1] = 0
+            A[-1, data.draw(hst.integers(0, n - 1))] = 1
+        basis = row_space_basis(A, q)
+        assume(basis.shape[0] > 0)
+        with mock.patch.object(codes, "SEARCH_ENTRIES", q**low * n * rows):
+            d = minimum_distance(basis, q)
+        assert d == oracles.min_distance_by_messages(basis, q)
+
+    def test_long_code_against_the_table(self):
+        # P^2 at q = 23: N = 484, and lead 0 tabulates its last tail row
         Y, setup = projective_torus(3, 23)
         basis = row_space_basis(evaluation_matrix(Y, Degree(free=(1,)), setup)[0], 23)
         assert basis.shape == (3, 484)
-        assert 484 > codes.SEARCH_TILE // codes.SEARCH_MIN_ROWS
+        assert 23 * 484 <= codes.SEARCH_ENTRIES
         assert minimum_distance(basis, 23) == 462
         assert oracles.min_distance_by_messages(basis, 23) == 462
+
+    def test_no_tail_row_fits_the_table(self):
+        # q N is over the entry bound, so no tail digit is tabulated and
+        # the zeros of each word are counted
+        q, N = 101, 700
+        assert q * N > codes.SEARCH_ENTRIES
+        basis = row_space_basis(np.random.default_rng(7).integers(0, q, (3, N)), q)
+        assert basis.shape == (3, N)
+        assert minimum_distance(basis, q) == oracles.min_distance_by_messages(
+            basis, q
+        )
 
     @pytest.mark.parametrize("s, q, t", (
         [(3, 3, t) for t in (1, 2, 3)]

@@ -106,6 +106,32 @@ class TestSetupConstruction:
             monkeypatch.setattr(intlin, name, refuse)
         assert make_h2().k == 2
 
+    def test_one_smith_form_of_beta_alone(self, monkeypatch):
+        # the kernel basis reads one Smith form of beta and one Hermite
+        # form; the set-up check adds those of phi and beta, and nothing
+        # else computes a Smith form
+        calls = {"snf": 0, "hnf": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(intlin, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(intlin, name, counted)
+        assert make_p113().k == 1
+        assert calls == {"snf": 3, "hnf": 1}
+
+    @pytest.mark.parametrize("beta", [[[2, -4, 2, 0], [0, 1, 0, 1]],
+                                      [[1, -2, 1, 0], [1, 0, 1, 2]],
+                                      [[3, -6, 3, 0], [0, 1, 0, 1]]])
+    def test_beta_must_map_onto_the_degrees(self, beta):
+        # ker(beta) = im(phi) and the rows are independent, but the image
+        # of beta is a proper sublattice of Z^2 (index 2, 2 and 3)
+        rays = [[1, 0], [0, 1], [-1, 2], [0, -1]]
+        with pytest.raises(ValidationError, match=r"beta does not map onto Z\^k"):
+            ToricSetup(rays, beta, [], 11)
+        # a unimodular change of the rows is still onto
+        assert ToricSetup(rays, [[1, -2, 1, 0], [1, -1, 1, 1]], [], 11).k == 2
+
 
 @hst.composite
 def gradings(draw):
@@ -134,17 +160,24 @@ def _rank(M):
 @given(gradings())
 def test_validation_matches_kernel_oracle(case):
     """A setup is accepted iff ker(beta) = im(phi) and beta has independent
-    rows; a kernel failure is reported first."""
+    rows and maps onto Z^k (the gcd of its k x k minors is 1); the failures
+    are reported in that order."""
     phi, beta = case
     exact = oracles.kernel_is_image(beta, phi)
+    independent = _rank(beta) == len(beta)
+    onto = oracles.gcd_of_minors(beta, len(beta)) == 1
     try:
         ToricSetup(phi, beta, [], 5, check_primitive=False)
     except ValidationError as exc:
-        assert not (exact and _rank(beta) == len(beta))
-        want = "beta rows are dependent" if exact else "ker(beta) != im(phi)"
-        assert str(exc) == want
+        assert not (exact and independent and onto)
+        if not exact:
+            assert str(exc) == "ker(beta) != im(phi)"
+        elif not independent:
+            assert str(exc) == "beta rows are dependent"
+        else:
+            assert str(exc) == "beta does not map onto Z^k"
     else:
-        assert exact and _rank(beta) == len(beta)
+        assert exact and independent and onto
 
 
 class TestDegrees:
