@@ -43,7 +43,6 @@ from .lattice import (
     is_dominating,
     is_mixed,
     lattice_ideal_generators,
-    parameterize_zero_set,
     point_ideal,
     torus_ideal,
 )
@@ -55,6 +54,7 @@ from .torus import (
     canonical_form,
     degenerate_torus,
     group_structure,
+    parameterize_zero_set,
     point_from_canon,
     point_from_rep,
     points_from_parameterization,

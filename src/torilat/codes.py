@@ -21,6 +21,7 @@ from .grading import (
     degree_of,
     monomial_basis,
 )
+from .lattice import degenerate_lattice, hilbert_of_lattice
 from .torus import PointSet, _diagonal_orders
 
 DEFAULT_MESSAGE_CAP = 10**6
@@ -186,8 +187,6 @@ def injectivity_exact(a, h, alpha: Degree, setup: ToricSetup) -> bool:
     """Exact decision: evaluation at the degenerate torus is injective on
     S_alpha iff no two distinct degree-alpha monomials agree modulo the
     vanishing lattice."""
-    from .lattice import degenerate_lattice, hilbert_of_lattice
-
     L = degenerate_lattice(a, h, setup).L
     return hilbert_of_lattice(L, alpha, setup) == len(monomial_basis(alpha, setup))
 
@@ -203,7 +202,7 @@ def minimum_distance(basis: np.ndarray, q: int) -> int:
     `low` < m tail digits, `low` as large as SEARCH_ENTRIES allows.  A
     block of leading digits gives its partial words `part` by one int64
     product mod q, and word (head, c) is zero in column j exactly when
-    part[j] == neg[c, j] (with low = 0, the zeros of `part` are counted).
+    part[j] == neg[c, j] (with low = 0, `neg` is the one zero row).
     The search stops at weight 1.  A search of more than 2^62 messages
     could never finish and raises CapExceededError before any work.
     """
@@ -237,8 +236,7 @@ def minimum_distance(basis: np.ndarray, q: int) -> int:
             part = np.matmul(digits, head, out=buf[: len(digits)])
             part += basis[lead]
             part %= q
-            zeros = (np.count_nonzero(neg == part[:, None], axis=2) if low
-                     else N - np.count_nonzero(part, axis=1))
+            zeros = np.count_nonzero(neg == part[:, None], axis=2)
             best = min(best, N - int(zeros.max()))
             if best == 1:
                 return 1

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import intlin
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, InternalError, ValidationError
 from .gfield import PrimeField
 
 # Nodes one monomial search may visit; degree (30, 30) on H_2 needs 3.54 M.
@@ -85,9 +85,11 @@ class ToricSetup:
         # With beta phi = 0, ker(beta) = im(phi) exactly when im(phi) is
         # saturated (every invariant factor of phi is 1) and both have
         # rank n; beta maps onto Z^k when its invariant factors are 1.
+        # With no rows, ker(beta) = Z^r: phi must be square and unimodular.
+        # This is the one test that phi^T maps onto Z^n.
         beta_factors = intlin.snf(self.beta_free).diagonal if self.k else []
         beta_rank = sum(1 for f in beta_factors if f)
-        if not self.torsion and self.k and (
+        if not self.torsion and (
             any(f != 1 for f in phi_snf.diagonal) or beta_rank != self.r - self.n
         ):
             raise ValidationError("ker(beta) != im(phi)")
@@ -121,14 +123,14 @@ class ToricSetup:
     def right_inverse(self):
         """Integer R (r x n) with phi^T R = I_n: the first n columns of the
         transform W of the column Hermite form phi^T W = H, which is
-        [I_n | 0] exactly when phi^T is surjective over Z (as it is for
-        torsion-free class groups)."""
+        [I_n | 0] because phi^T maps onto Z^n (checked by `_validate` for
+        every torsion-free setup)."""
         if self._right_inverse is None:
             self._require_torsion_free("torus coordinate computation")
             H, W = intlin.column_hnf(intlin.transpose(self.phi))
             pad = [0] * (self.r - self.n)
             if H != [row + pad for row in intlin.identity(self.n)]:
-                raise ValidationError("phi^T is not surjective over Z")
+                raise InternalError("phi^T is not surjective over Z")
             self._right_inverse = [row[:self.n] for row in W]
         return self._right_inverse
 

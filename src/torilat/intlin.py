@@ -265,6 +265,12 @@ def integer_kernel(M: IntMatrix) -> IntMatrix:
     return K
 
 
+def sign_normalize(m) -> tuple:
+    """Orient m so its first nonzero entry is positive."""
+    first = next((x for x in m if x), 0)
+    return tuple(-x for x in m) if first < 0 else tuple(m)
+
+
 def kernel_basis_canonical(M: IntMatrix) -> IntMatrix:
     """Canonical kernel basis: Hermite form taken in reversed coordinate
     order, mapped back, each vector oriented so its first nonzero entry
@@ -278,16 +284,8 @@ def kernel_basis_canonical(M: IntMatrix) -> IntMatrix:
     m, n = shape(K)
     if n == 0:
         return K
-    rev = K[::-1]
-    H = column_hermite_basis(rev)
-    cols = []
-    for c in columns(H):
-        c = c[::-1]
-        first = next(x for x in c if x)
-        if first < 0:
-            c = [-x for x in c]
-        cols.append(c)
-    cols.sort()
+    H = column_hermite_basis(K[::-1])
+    cols = sorted(sign_normalize(c[::-1]) for c in columns(H))
     return from_columns(cols, m)
 
 

@@ -1,8 +1,9 @@
 """Lattice-ideal computations.
 
-Binomial generators, parameterization of torus zero sets, vanishing-
-ideal lattices of degenerate tori, complete-intersection decisions,
-torus and point ideals, and a coset-counting Hilbert oracle.
+Binomial generators, vanishing-ideal lattices of degenerate tori,
+complete-intersection decisions, torus and point ideals, and a
+coset-counting Hilbert function.  The parameterization of torus zero
+sets lives in `torus` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from math import comb
 from . import intlin
 from .errors import CapExceededError, ValidationError
 from .grading import Degree, ToricSetup, is_homogeneous, monomial_basis, positive_functional
-from .torus import TorusPoint, _diagonal_orders, _zero_set_exponents
+from .torus import TorusPoint, _diagonal_orders
+from .torus import parameterize_zero_set  # re-exported: the zero set of I_L
 
 DOMINATING_SUBSET_CAP = 10**6
 
@@ -39,14 +41,6 @@ class Binomial:
     def m_minus(self):
         return tuple(max(-x, 0) for x in self.m)
 
-    def evaluate(self, point: TorusPoint, setup: ToricSetup) -> int:
-        """Value at a torus point, as an element of F_q."""
-        s = point.rep
-        plus = sum(a * b for a, b in zip(s, self.m_plus))
-        minus = sum(a * b for a, b in zip(s, self.m_minus))
-        f = setup.field
-        return (f.eta_pow(plus) - self.scale * f.eta_pow(minus)) % setup.q
-
     def text(self) -> str:
         def mono(exps):
             parts = [
@@ -61,15 +55,6 @@ class Binomial:
         if self.scale == 1:
             return f"{head} - {tail}"
         return f"{head} - {self.scale}*{tail}"
-
-
-def sign_normalize(m):
-    """Orient m so its first nonzero entry is positive."""
-    m = list(m)
-    first = next((x for x in m if x), 0)
-    if first < 0:
-        m = [-x for x in m]
-    return tuple(m)
 
 
 @dataclass(frozen=True)
@@ -95,23 +80,8 @@ def lattice_ideal_generators(L) -> LatticeIdealPresentation:
     _, ell = intlin.shape(L)
     if ell and intlin.snf(L).rank != ell:
         raise ValidationError("lattice basis columns are dependent")
-    cols = [sign_normalize(c) for c in intlin.columns(L)]
+    cols = [intlin.sign_normalize(c) for c in intlin.columns(L)]
     return LatticeIdealPresentation(binomials=tuple(Binomial(m=c) for c in cols))
-
-
-def parameterize_zero_set(L, setup: ToricSetup):
-    """Square matrix A with Y_{A, F_q*} = V_X(I_L) n T_X (as point sets).
-
-    Forms B_L with rows [b_j, (q-1)e_j], takes an integer kernel basis
-    A_L of B_L and returns its first r rows (B_L has full row rank, so
-    A is r x r however many columns span L); the columns of the result
-    generate the exponent lattice of the zero set, so the point set is
-    points_from_parameterization(transpose(A), q-1).  The matrix itself
-    is basis-dependent; only the parameterized point set is canonical.
-    """
-    if not is_homogeneous(L, setup):
-        raise ValidationError("lattice is not homogeneous")
-    return _zero_set_exponents(intlin.columns(L), setup.q - 1, setup.r)
 
 
 @dataclass(frozen=True)
@@ -232,10 +202,13 @@ def point_ideal(P: TorusPoint, setup: ToricSetup):
 
 
 def hilbert_of_lattice(L, alpha: Degree, setup: ToricSetup) -> int:
-    """Coset-counting Hilbert oracle: the number of classes of degree-
+    """Coset-counting Hilbert function: the number of classes of degree-
     alpha monomials under a ~ a' iff a - a' in L.
 
-    For a lattice ideal this equals dim S_alpha - dim (I_L)_alpha.
+    For a lattice ideal this equals dim S_alpha - dim (I_L)_alpha.  It is
+    the coset-count cross-check of the class count and the rank in
+    `codes`; `injectivity_exact` reads it, and it stays in the library
+    because the benchmark's `hilbert` workload times it.
     """
     if not is_homogeneous(L, setup):
         raise ValidationError("lattice is not homogeneous")

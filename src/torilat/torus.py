@@ -152,10 +152,6 @@ def point_from_canon(c, setup: ToricSetup) -> TorusPoint:
     return p
 
 
-def identity_point(setup: ToricSetup) -> TorusPoint:
-    return TorusPoint(canon=(0,) * setup.n, rep=(0,) * setup.r)
-
-
 def _subgroup(reps, setup: ToricSetup) -> PointSet:
     """The subgroup of T_X generated by the points with exponent
     representatives `reps`.
@@ -176,16 +172,16 @@ def _subgroup(reps, setup: ToricSetup) -> PointSet:
     cols += [[qm if i == j else 0 for i in range(n)] for j in range(n)]
     reps += [[0] * r] * n
     H, W = intlin.column_hnf(intlin.from_columns(cols, n))
-    total = prod(qm // H[j][j] for j in range(n))
-    if total > TORUS_ENUM_CAP:
-        raise CapExceededError(
-            f"subgroup has {total} points, cap is {TORUS_ENUM_CAP}"
-        )
     basis_reps = [
         [sum(W[k][j] * s[i] for k, s in enumerate(reps)) % qm for i in range(r)]
         for j in range(n)
     ]
-    return PointSet._from_lattice([row[:n] for row in H], basis_reps, qm, r)
+    Y = PointSet._from_lattice([row[:n] for row in H], basis_reps, qm, r)
+    if len(Y) > TORUS_ENUM_CAP:
+        raise CapExceededError(
+            f"subgroup has {len(Y)} points, cap is {TORUS_ENUM_CAP}"
+        )
+    return Y
 
 
 def all_torus_points(setup: ToricSetup) -> PointSet:
@@ -223,29 +219,34 @@ def _diagonal_orders(a, h, setup: ToricSetup):
     return [h // gcd(h, abs(ai)) for ai in a]
 
 
-def _zero_set_exponents(cols, qm: int, r: int):
-    """r x r matrix whose columns generate {s in Z^r : s . b = 0 mod q-1
-    for every b in cols}: the first r rows of an integer kernel basis of
-    B_L, whose rows are [b_j, (q-1)e_j]."""
+def parameterize_zero_set(L, setup: ToricSetup):
+    """Square matrix A with Y_{A, F_q*} = V_X(I_L) n T_X (as point sets).
+
+    Forms B_L with rows [b_j, (q-1)e_j], takes an integer kernel basis
+    A_L of B_L and returns its first r rows (B_L has full row rank, so
+    A is r x r however many columns span L); the columns of the result
+    generate {s in Z^r : s . b = 0 mod q-1 for every column b of L}, so
+    the point set is points_from_parameterization(transpose(A), q-1).  A
+    lattice with no columns gives the identity.  The matrix itself is
+    basis-dependent; only the parameterized point set is canonical.
+    """
+    if not is_homogeneous(L, setup):
+        raise ValidationError("lattice is not homogeneous")
+    cols = intlin.columns(L)
     ell = len(cols)
     if ell == 0:
-        return intlin.identity(r)
-    BL = [
-        list(cols[j]) + [qm if i == j else 0 for i in range(ell)]
-        for j in range(ell)
-    ]
+        return intlin.identity(setup.r)
+    qm = setup.q - 1
+    BL = [cols[j] + [qm if i == j else 0 for i in range(ell)] for j in range(ell)]
     AL = intlin.integer_kernel(BL)
-    return [AL[i] for i in range(r)]
+    return [AL[i] for i in range(setup.r)]
 
 
 def zero_set_in_torus(L, setup: ToricSetup) -> PointSet:
     """Points of T_X where every basis binomial of the homogeneous
-    lattice L vanishes: s . b = 0 mod q-1 for each basis column b.  Built
-    as the subgroup generated by the columns of the B_L kernel."""
-    if not is_homogeneous(L, setup):
-        raise ValidationError("lattice is not homogeneous")
-    A = _zero_set_exponents(intlin.columns(L), setup.q - 1, setup.r)
-    return _subgroup(intlin.columns(A), setup)
+    lattice L vanishes: the subgroup generated by the columns of
+    `parameterize_zero_set(L)`."""
+    return _subgroup(intlin.columns(parameterize_zero_set(L, setup)), setup)
 
 
 def subgroup_closure(generators, setup: ToricSetup) -> PointSet:

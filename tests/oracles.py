@@ -27,6 +27,9 @@ batched search in `torilat.codes.minimum_distance` replaced.
 Monomial enumeration: the search that tries every value of the last
 exponent too, which `torilat.grading._enumerate_solutions` replaced by
 solving for it.
+
+Points and binomials: the identity point of the torus and the value of a
+binomial at a point, which only the tests read.
 """
 
 from itertools import combinations, product
@@ -38,7 +41,7 @@ from torilat import intlin
 from torilat.errors import ValidationError
 from torilat.grading import positive_functional
 from torilat.intlin import IntMatrix, column_hnf, hnf, identity, mat_vec, shape
-from torilat.torus import PointSet, identity_point, point_from_canon, point_from_rep
+from torilat.torus import PointSet, TorusPoint, point_from_canon, point_from_rep
 
 
 def det(U):
@@ -138,8 +141,9 @@ def inverse_unimodular(U: IntMatrix) -> IntMatrix:
 
 def kernel_is_image(beta, phi):
     """ker(beta) = im(phi): an integer kernel basis of beta and the
-    columns of phi span the same lattice."""
-    ker = intlin.integer_kernel(beta)
+    columns of phi span the same lattice.  A beta with no rows has kernel
+    Z^r."""
+    ker = intlin.integer_kernel(beta) if beta else identity(len(phi))
     return intlin.lattice_equal(ker, phi)
 
 
@@ -158,6 +162,24 @@ def rank_mod_q(rows, q):
             A[i] = [(a - f * b) % q for a, b in zip(A[i], A[rank])]
         rank += 1
     return rank
+
+
+# points and binomials -------------------------------------------------
+
+
+def identity_point(setup):
+    """The identity of T_X: every coordinate eta^0 = 1."""
+    return TorusPoint(canon=(0,) * setup.n, rep=(0,) * setup.r)
+
+
+def binomial_value(b, point, setup):
+    """x^{m+} - scale * x^{m-} of the Binomial b at a torus point, as an
+    element of F_q."""
+    s = point.rep
+    plus = sum(x * y for x, y in zip(s, b.m_plus))
+    minus = sum(x * y for x, y in zip(s, b.m_minus))
+    f = setup.field
+    return (f.eta_pow(plus) - b.scale * f.eta_pow(minus)) % setup.q
 
 
 # torus subgroups ------------------------------------------------------

@@ -383,6 +383,29 @@ def test_beta_not_onto_exits_2(capsys, tmp_path, alpha):
     assert (code, out, err) == (2, "", "error: beta does not map onto Z^k\n")
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("rays", [[[1], [-1]], [[1, 1], [1, -1]]])
+def test_rays_with_no_beta_rows_exit_2(capsys, tmp_path, command, rays):
+    # with no rows ker(beta) = Z^r: rank 1 < r = 2 for the first rays,
+    # det phi = -2 for the second, so neither phi maps onto it
+    doc = {"variety": {"rays": rays, "beta": []}, "field": {"q": 7},
+           "task": {"a": [1, 1], "h": 6, "alpha": [], "point": [1, 1],
+                    "lattice": [[6, 6]], "matrix": [[1, -1]],
+                    "alpha1_values": [0], "alpha2_values": [0]}}
+    f = tmp_path / "no_beta_rows.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(f))
+    assert (code, out, err) == (2, "", "error: ker(beta) != im(phi)\n")
+
+
+def test_unimodular_rays_with_no_beta_rows(capsys, tmp_path):
+    f = tmp_path / "square.json"
+    f.write_text(json.dumps({"variety": {"rays": [[1, 0], [0, 1]], "beta": []},
+                             "field": {"q": 7}}))
+    code, _, _ = run(capsys, "torus-ideal", str(f))
+    assert code == 0
+
+
 class TestInputContract:
     """Every malformed document exits 2 with a message, never a traceback."""
 

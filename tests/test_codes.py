@@ -40,7 +40,6 @@ from torilat.torus import (
     TorusPoint,
     all_torus_points,
     degenerate_torus,
-    identity_point,
     point_from_rep,
     vanishing_lattice,
     zero_set_in_torus,
@@ -576,7 +575,7 @@ class TestPointSetOfNoSubgroup:
         # I(Y) is a lattice ideal only if Y is a subgroup: on these two
         # points the 3 monomials of degree (2, 0) give 3 distinct
         # evaluation rows, but of rank 2
-        Y = PointSet([identity_point(h2), point_from_rep([1, 0, 0, 0], h2)])
+        Y = PointSet([oracles.identity_point(h2), point_from_rep([1, 0, 0, 0], h2)])
         assert not Y.is_group
         alpha = Degree(free=(2, 0))
         mat = evaluation_matrix(Y, alpha, h2)[0]

@@ -136,14 +136,15 @@ class TestSetupConstruction:
 @hst.composite
 def gradings(draw):
     """phi of rank n with no zero row, and beta whose rows are integer
-    combinations of a basis of the left kernel of phi."""
+    combinations of a basis of the left kernel of phi.  k = 0 and n = r
+    are drawn too: with no rows, ker(beta) = Z^r."""
     r = draw(hst.integers(2, 5))
-    n = draw(hst.integers(1, r - 1))
+    n = draw(hst.integers(1, r))
     phi = [draw(hst.lists(hst.integers(-3, 3), min_size=n, max_size=n))
            for _ in range(r)]
     assume(all(any(row) for row in phi) and intlin.snf(phi).rank == n)
     left = intlin.columns(intlin.integer_kernel(intlin.transpose(phi)))
-    k = draw(hst.sampled_from([k for k in (r - n - 1, r - n, r - n + 1) if k]))
+    k = draw(hst.sampled_from([k for k in (r - n - 1, r - n, r - n + 1) if k >= 0]))
     beta = []
     for _ in range(k):
         coef = draw(hst.lists(hst.integers(-2, 2), min_size=len(left),
@@ -161,13 +162,13 @@ def _rank(M):
 def test_validation_matches_kernel_oracle(case):
     """A setup is accepted iff ker(beta) = im(phi) and beta has independent
     rows and maps onto Z^k (the gcd of its k x k minors is 1); the failures
-    are reported in that order."""
+    are reported in that order.  An accepted setup has a right inverse."""
     phi, beta = case
     exact = oracles.kernel_is_image(beta, phi)
     independent = _rank(beta) == len(beta)
     onto = oracles.gcd_of_minors(beta, len(beta)) == 1
     try:
-        ToricSetup(phi, beta, [], 5, check_primitive=False)
+        st = ToricSetup(phi, beta, [], 5, check_primitive=False)
     except ValidationError as exc:
         assert not (exact and independent and onto)
         if not exact:
@@ -178,6 +179,8 @@ def test_validation_matches_kernel_oracle(case):
             assert str(exc) == "beta does not map onto Z^k"
     else:
         assert exact and independent and onto
+        R = st.right_inverse()
+        assert intlin.mat_mul(intlin.transpose(phi), R) == intlin.identity(st.n)
 
 
 class TestDegrees:
@@ -325,8 +328,7 @@ class TestRightInverse:
             assert prod == intlin.identity(st.n)
 
     def test_not_surjective(self):
-        # without a degree matrix no check ties the rays to a torsion-free
-        # class group: det phi = -2, so phi^T maps onto an index-2 sublattice
-        st = ToricSetup([[1, 1], [1, -1]], [], [], 7)
-        with pytest.raises(ValidationError, match="not surjective"):
-            st.right_inverse()
+        # with no beta rows ker(beta) = Z^2, but det phi = -2: phi^T maps
+        # onto an index-2 sublattice, and the set-up check refuses it
+        with pytest.raises(ValidationError, match=r"ker\(beta\) != im\(phi\)"):
+            ToricSetup([[1, 1], [1, -1]], [], [], 7)

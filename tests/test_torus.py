@@ -21,7 +21,6 @@ from torilat.torus import (
     canonical_form,
     degenerate_torus,
     group_structure,
-    identity_point,
     point_from_canon,
     point_from_rep,
     points_from_parameterization,
@@ -82,7 +81,7 @@ class TestEnumeration:
             all_torus_points(st)
 
     def test_identity_present(self, h2):
-        assert identity_point(h2) in all_torus_points(h2)
+        assert oracles.identity_point(h2) in all_torus_points(h2)
 
 
 class TestDegenerateTorus:
@@ -135,14 +134,14 @@ class TestSubgroups:
             for _ in range(10):
                 L = random_homogeneous_lattice(st, rng, contain_full=False)
                 Y = zero_set_in_torus(L, st)
-                assert identity_point(st) in Y
+                assert oracles.identity_point(st) in Y
                 assert Y.is_group
 
     def test_closure_contains_generators(self, h2):
         g = point_from_rep([1, 2, 3, 4], h2)
         Y = subgroup_closure([g], h2)
         assert g in Y
-        assert identity_point(h2) in Y
+        assert oracles.identity_point(h2) in Y
         qm = h2.q - 1
         canons = {p.canon for p in Y}
         for p in Y:
@@ -270,8 +269,7 @@ class TestAgainstOracles:
     @given(setups, hst.integers(0, 2**32), hst.integers(0, 5))
     @settings(max_examples=40, deadline=None)
     def test_zero_set_matches_the_filtered_sweep(self, st, seed, extra):
-        # up to extra + n = 7 columns: more than r = 4, which
-        # parameterize_zero_set rejects but the zero set accepts
+        # up to extra + n = 7 columns: more than r = 4
         rng = random.Random(seed)
         L = random_homogeneous_lattice(
             st, rng, extra=extra, contain_full=rng.random() < 0.5
@@ -471,13 +469,13 @@ class TestPointSetFromPoints:
         Y = PointSet([])
         assert len(Y) == 0
         assert list(Y) == []
-        assert identity_point(h2) not in Y
+        assert oracles.identity_point(h2) not in Y
         assert Y == PointSet([])
         # unlike the torus of the empty fan: one point, the empty form
         empty_fan = setup_from_rays([], 7)
         T = all_torus_points(empty_fan)
         assert len(T) == 1
-        assert identity_point(empty_fan) in T
+        assert oracles.identity_point(empty_fan) in T
 
 
 class TestTorsion:
