@@ -1,4 +1,4 @@
-"""Arithmetic in the prime field F_q and discrete logarithms.
+"""Arithmetic in the prime field F_q: power and discrete-log tables.
 
 The primitive root eta is fixed per q as the smallest one, so every
 exponent-space computation in the rest of the package is deterministic.
@@ -72,19 +72,14 @@ class PrimeField:
         pows = [1] * (q - 1)
         for i in range(1, q - 1):
             pows[i] = pows[i - 1] * self.eta % q
-        # int64 tables, so evaluation indexes them without a conversion
+        # int64 tables, so evaluation indexes them without a conversion;
+        # only the tests' discrete_log and the benchmark's counter read _log
         self._pow = np.array(pows, dtype=np.int64)
         self._log = np.zeros(q, dtype=np.int64)
         self._log[self._pow] = np.arange(q - 1)
 
     def eta_pow(self, e: int) -> int:
         return int(self._pow[e % (self.q - 1)])
-
-    def discrete_log(self, x: int) -> int:
-        x %= self.q
-        if x == 0:
-            raise ValidationError("discrete log of 0")
-        return int(self._log[x])
 
     def __repr__(self):
         return f"PrimeField(q={self.q}, eta={self.eta})"

@@ -29,9 +29,10 @@ class Degree:
 
 
 class ToricSetup:
-    """Fixed ambient context: ray matrix phi (r x n, rows are primitive
-    ray generators), degree matrix beta (free rows plus torsion residue
-    rows), prime field size q, optional maximal cones.
+    """Fixed ambient context: ray matrix phi (r x n, rows are ray
+    generators, primitive unless check_primitive is off), degree matrix
+    beta (free rows plus torsion residue rows), prime field size q,
+    optional maximal cones.
 
     Instances are immutable after construction.
     """
@@ -53,7 +54,9 @@ class ToricSetup:
         self._validate()
         self._right_inverse = None
         self._functional = "unset"
-        self._monomial_cache = {}
+        # (degree, monomials) of the last enumeration: a Hilbert value by
+        # rank and by coset count at one degree enumerate it once
+        self._monomial_cache = (None, None)
 
     def _validate(self):
         for row in self.beta_free:
@@ -354,10 +357,10 @@ def monomial_basis(alpha: Degree, setup: ToricSetup):
     """All exponent vectors a in N^r of degree alpha, lexicographically
     ascending.  Torsion-graded enumeration is not supported."""
     setup._require_degrees("monomial enumeration", alpha)
-    cached = setup._monomial_cache.get(alpha.free)
-    if cached is None:
+    key, cached = setup._monomial_cache
+    if key != alpha.free:
         cached = _enumerate_solutions(alpha.free, setup, range(setup.r))
-        setup._monomial_cache[alpha.free] = cached
+        setup._monomial_cache = (alpha.free, cached)
     return cached
 
 

@@ -287,41 +287,3 @@ def kernel_basis_canonical(M: IntMatrix) -> IntMatrix:
     H = column_hermite_basis(K[::-1])
     cols = sorted(sign_normalize(c[::-1]) for c in columns(H))
     return from_columns(cols, m)
-
-
-@dataclass(frozen=True)
-class HermiteReducer:
-    """Coset canonicalizer for a lattice given by its column-Hermite basis.
-
-    reduce(v) returns the canonical representative of v modulo the
-    lattice; v lies in the lattice iff reduce(v) is the zero vector.
-    """
-
-    basis: tuple  # columns, each a tuple
-    pivots: tuple  # pivot row index per column
-    dim: int
-
-    @classmethod
-    def from_basis(cls, L: IntMatrix) -> "HermiteReducer":
-        m, n = shape(L)
-        H = column_hermite_basis(L)
-        cols = [tuple(c) for c in columns(H)]
-        pivots = []
-        for c in cols:
-            p = next(i for i, x in enumerate(c) if x)
-            pivots.append(p)
-        return cls(basis=tuple(cols), pivots=tuple(pivots), dim=m)
-
-    def reduce(self, v: list) -> tuple:
-        if len(v) != self.dim:
-            raise ValidationError("vector dimension mismatch")
-        w = list(v)
-        for c, p in zip(self.basis, self.pivots):
-            q = w[p] // c[p]
-            if q:
-                for i in range(p, self.dim):
-                    w[i] -= q * c[i]
-        return tuple(w)
-
-    def contains(self, v: list) -> bool:
-        return not any(self.reduce(v))

@@ -101,10 +101,11 @@ def degenerate_lattice(a, h, setup: ToricSetup) -> DegenerateLattice:
     """
     setup._require_torsion_free("degenerate-torus lattices")
     d = _diagonal_orders(a, h, setup)
+    # with no beta rows, a zero row keeps the kernel Z^r ([] has no columns)
     betaD = [
         [setup.beta_free[i][j] * d[j] for j in range(setup.r)]
         for i in range(setup.k)
-    ]
+    ] or [[0] * setup.r]
     gamma0 = intlin.kernel_basis_canonical(betaD)
     Lcols = [
         [d[i] * c[i] for i in range(setup.r)] for c in intlin.columns(gamma0)
@@ -213,5 +214,17 @@ def hilbert_of_lattice(L, alpha: Degree, setup: ToricSetup) -> int:
     if not is_homogeneous(L, setup):
         raise ValidationError("lattice is not homogeneous")
     mons = monomial_basis(alpha, setup)
-    reducer = intlin.HermiteReducer.from_basis(L)
-    return len({reducer.reduce(list(a)) for a in mons})
+    # reduce against the column Hermite basis, pivot by pivot, into
+    # [0, pivot) there: equal results are equal classes
+    H = intlin.columns(intlin.column_hermite_basis(L))
+    pivots = [next(i for i, x in enumerate(c) if x) for c in H]
+    classes = set()
+    for a in mons:
+        w = list(a)
+        for c, p in zip(H, pivots):
+            q = w[p] // c[p]
+            if q:
+                for i in range(p, len(w)):
+                    w[i] -= q * c[i]
+        classes.add(tuple(w))
+    return len(classes)

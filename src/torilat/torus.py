@@ -7,9 +7,10 @@ agree.  All set operations are linear algebra mod q-1.
 
 A subgroup of T_X is, in canonical forms, a lattice Lambda with
 (q-1)Z^n <= Lambda <= Z^n.  Every constructor here names generators of
-its subgroup and keeps the Hermite basis of Lambda; the order,
-membership, structure and vanishing lattice come from that basis, and
-the points are enumerated from it only when they are read.
+its subgroup and keeps the Hermite basis B of Lambda, which gives the
+order; membership, structure and the vanishing lattice read the dual
+basis C = (q-1) B^{-1}, computed once per subgroup, and the points are
+enumerated from B only when they are read.
 """
 
 from __future__ import annotations
@@ -96,17 +97,35 @@ class PointSet:
         if not isinstance(p, TorusPoint):
             return False
         if self.is_group:
-            # a canonical form lies in [0, q-1)^n; Lambda decides the rest
+            # a canonical form lies in [0, q-1)^n; Lambda decides the rest:
+            # c in Lambda iff B^{-1} c is integral iff C c = 0 mod q-1
+            qm = self._qm
             return (len(p.canon) == len(self.basis)
-                    and all(0 <= x < self._qm for x in p.canon)
-                    and self._reducer.contains(list(p.canon)))
+                    and all(0 <= x < qm for x in p.canon)
+                    and not any(sum(a * x for a, x in zip(row, p.canon)) % qm
+                                for row in self._dual))
         # the width test keeps an empty (0 x 0) set from broadcasting
         return len(p.canon) == self.canon.shape[1] and bool(
             (self.canon == p.canon).all(axis=1).any())
 
     @cached_property
-    def _reducer(self):
-        return intlin.HermiteReducer.from_basis(self.basis)
+    def _dual(self):
+        """C = (q-1) B^{-1} for the lower-triangular Hermite basis B:
+        forward substitution down each column of (q-1) I.  Every division
+        is exact because (q-1)Z^n lies in Lambda."""
+        if not self.is_group:
+            raise ValidationError("point set is not a verified subgroup")
+        qm, B, n = self._qm, self.basis, len(self.basis)
+        C = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                t = (qm if j == i else 0) - sum(
+                    B[j][k] * C[k][i] for k in range(i, j)
+                )
+                if t % B[j][j]:
+                    raise InternalError("(q-1)Z^n not inside the generated lattice")
+                C[j][i] = t // B[j][j]
+        return C
 
     def __eq__(self, other):
         if not isinstance(other, PointSet):
@@ -265,25 +284,6 @@ class GroupStructure:
     h: int  # order of the coefficient subgroup of F_q*
 
 
-def _exponent_lattice(Y: PointSet, setup: ToricSetup):
-    """C = (q-1) B^{-1} for a subgroup Y with lower-triangular Hermite
-    basis B: forward substitution down each column of (q-1) I.  Every
-    division is exact because (q-1)Z^n lies in Lambda."""
-    if not Y.is_group:
-        raise ValidationError("point set is not a verified subgroup")
-    qm, n, B = setup.q - 1, setup.n, Y.basis
-    C = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            t = (qm if j == i else 0) - sum(
-                B[j][k] * C[k][i] for k in range(i, j)
-            )
-            if t % B[j][j]:
-                raise InternalError("(q-1)Z^n not inside the generated lattice")
-            C[j][i] = t // B[j][j]
-    return C
-
-
 def group_structure(Y: PointSet, setup: ToricSetup) -> GroupStructure:
     """Cyclic decomposition of a subgroup Y and a (Q, h) with
     points_from_parameterization(Q, h) == Y.
@@ -293,7 +293,7 @@ def group_structure(Y: PointSet, setup: ToricSetup) -> GroupStructure:
     each d_i divides q-1, the exponent of Lambda / (q-1)Z^n."""
     qm = setup.q - 1
     n = setup.n
-    res = intlin.snf(_exponent_lattice(Y, setup))
+    res = intlin.snf(Y._dual)
     orders = []
     gens = []
     for i in range(n):
@@ -313,9 +313,11 @@ def degenerate_torus(a, h, setup: ToricSetup):
     """Y_{A,H} for the diagonal parameterization t_i -> t_i^{a_i} over the
     order-h subgroup H.
 
-    Returns (Y, predicted_order): the predicted order is prod(d_i) when
-    the orders d_i = h/gcd(h, a_i) are pairwise coprime, else None.  When
-    predicted, |Y| is checked against it.
+    Returns (Y, predicted_order).  Y is the image of prod mu_{d_i},
+    d_i = h/gcd(h, a_i), modulo G; lambda in coordinate i (1 elsewhere)
+    lies in G iff lambda^{c_i} = 1, c_i the gcd of ray i.  When the d_i
+    are pairwise coprime, G n prod mu_{d_i} splits by coordinate, so
+    |Y| = prod d_i/gcd(d_i, c_i) is predicted and checked; else None.
     """
     d = _diagonal_orders(a, h, setup)
     Q = [[a[i] if i == j else 0 for j in range(setup.r)] for i in range(setup.r)]
@@ -323,7 +325,9 @@ def degenerate_torus(a, h, setup: ToricSetup):
     pairwise = all(
         gcd(d[i], d[j]) == 1 for i in range(len(d)) for j in range(i + 1, len(d))
     )
-    predicted = prod(d) if pairwise else None
+    predicted = prod(
+        di // gcd(di, *ray) for di, ray in zip(d, setup.phi)
+    ) if pairwise else None
     if pairwise and len(Y) != predicted:
         raise InternalError(
             f"degenerate torus has {len(Y)} points, predicted {predicted}"
@@ -338,7 +342,6 @@ def vanishing_lattice(Y: PointSet, setup: ToricSetup):
     Y.  With m = phi u, s_P . m = canon(P) . u, so L(Y) is phi applied to
     the dual {u : B^T u in (q-1)Z^n} = C^T Z^n of Y's exponent lattice.
     """
-    C = _exponent_lattice(Y, setup)
     return intlin.column_hermite_basis(
-        intlin.mat_mul(setup.phi, intlin.transpose(C))
+        intlin.mat_mul(setup.phi, intlin.transpose(Y._dual))
     )

@@ -10,7 +10,11 @@ exponent lattice and group structure in `torilat` replaced with reads of
 Hermite and Smith forms already at hand.  The exactness test
 ker(beta) = im(phi) by comparing two lattices, which the set-up check in
 `torilat.grading.ToricSetup` replaced with the Smith forms of phi and
-beta.  Matrices over F_q: rank by plain-list Gaussian elimination.
+beta.  `HermiteReducer`, the coset canonicalizer against a column
+Hermite basis: `torilat.lattice.hilbert_of_lattice` runs its loop
+inline, and subgroup membership in `torilat.torus` reads the dual basis
+(q-1) B^{-1} instead.  Matrices over F_q: rank by plain-list Gaussian
+elimination.
 
 Torus subgroups: the point-by-point constructions that the lattice path
 in `torilat.torus` replaced — a sweep of every canonical form, a sweep of
@@ -28,10 +32,12 @@ Monomial enumeration: the search that tries every value of the last
 exponent too, which `torilat.grading._enumerate_solutions` replaced by
 solving for it.
 
-Points and binomials: the identity point of the torus and the value of a
-binomial at a point, which only the tests read.
+Points and binomials: the identity point of the torus, the value of a
+binomial at a point and the discrete log of a field element, which only
+the tests read.
 """
 
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
 
@@ -40,7 +46,16 @@ import numpy as np
 from torilat import intlin
 from torilat.errors import ValidationError
 from torilat.grading import positive_functional
-from torilat.intlin import IntMatrix, column_hnf, hnf, identity, mat_vec, shape
+from torilat.intlin import (
+    IntMatrix,
+    column_hermite_basis,
+    column_hnf,
+    columns,
+    hnf,
+    identity,
+    mat_vec,
+    shape,
+)
 from torilat.torus import PointSet, TorusPoint, point_from_canon, point_from_rep
 
 
@@ -139,6 +154,44 @@ def inverse_unimodular(U: IntMatrix) -> IntMatrix:
     return W
 
 
+@dataclass(frozen=True)
+class HermiteReducer:
+    """Coset canonicalizer for a lattice given by its column-Hermite basis.
+
+    reduce(v) returns the canonical representative of v modulo the
+    lattice; v lies in the lattice iff reduce(v) is the zero vector.
+    """
+
+    basis: tuple  # columns, each a tuple
+    pivots: tuple  # pivot row index per column
+    dim: int
+
+    @classmethod
+    def from_basis(cls, L: IntMatrix) -> "HermiteReducer":
+        m, n = shape(L)
+        H = column_hermite_basis(L)
+        cols = [tuple(c) for c in columns(H)]
+        pivots = []
+        for c in cols:
+            p = next(i for i, x in enumerate(c) if x)
+            pivots.append(p)
+        return cls(basis=tuple(cols), pivots=tuple(pivots), dim=m)
+
+    def reduce(self, v: list) -> tuple:
+        if len(v) != self.dim:
+            raise ValidationError("vector dimension mismatch")
+        w = list(v)
+        for c, p in zip(self.basis, self.pivots):
+            q = w[p] // c[p]
+            if q:
+                for i in range(p, self.dim):
+                    w[i] -= q * c[i]
+        return tuple(w)
+
+    def contains(self, v: list) -> bool:
+        return not any(self.reduce(v))
+
+
 def kernel_is_image(beta, phi):
     """ker(beta) = im(phi): an integer kernel basis of beta and the
     columns of phi span the same lattice.  A beta with no rows has kernel
@@ -170,6 +223,14 @@ def rank_mod_q(rows, q):
 def identity_point(setup):
     """The identity of T_X: every coordinate eta^0 = 1."""
     return TorusPoint(canon=(0,) * setup.n, rep=(0,) * setup.r)
+
+
+def discrete_log(field, x):
+    """log_eta x in F_q, read from the field's log table."""
+    x %= field.q
+    if x == 0:
+        raise ValidationError("discrete log of 0")
+    return int(field._log[x])
 
 
 def binomial_value(b, point, setup):
@@ -261,13 +322,13 @@ def exponent_lattice_from_points(Y, setup):
     inserted whenever it lies outside the span so far."""
     qm = setup.q - 1
     n = setup.n
-    reducer = intlin.HermiteReducer.from_basis(
+    reducer = HermiteReducer.from_basis(
         [[qm if i == j else 0 for j in range(n)] for i in range(n)]
     )
     for p in Y:
         if not reducer.contains(p.canon):
             cols = [list(c) for c in reducer.basis] + [list(p.canon)]
-            reducer = intlin.HermiteReducer.from_basis(intlin.from_columns(cols))
+            reducer = HermiteReducer.from_basis(intlin.from_columns(cols))
     return intlin.from_columns([list(c) for c in reducer.basis], n)
 
 

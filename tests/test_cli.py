@@ -406,6 +406,25 @@ def test_unimodular_rays_with_no_beta_rows(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("beta, q, a, h, order", [
+    ([[2, 3, -3]], 211, [70, 210, 210], 210, 1),
+    ([[2, 3, 6]], 31, [10, 15, 6], 30, 5),
+])
+def test_rays_that_are_not_primitive(capsys, tmp_path, beta, q, a, h, order):
+    # beta = (2, 3, -3) gives the ray (0, 3): the order-3 subgroup of its
+    # coordinate is the identity of T_X, so d = (3, 1, 1) gives one point
+    f = tmp_path / "beta.json"
+    f.write_text(json.dumps({"variety": {"beta": beta}, "field": {"q": q},
+                             "task": {"a": a, "h": h}}))
+    code, out, _ = run(capsys, "subgroup-info", str(f))
+    assert code == 0
+    assert json.loads(out)["order"] == order
+    if order > 1:  # (2, 3, -3) is not pointed, so it has no code
+        code, out, _ = run(capsys, "code", str(f), "--alpha", "1")
+        assert code == 0
+        assert json.loads(out)["N"] == order
+
+
 class TestInputContract:
     """Every malformed document exits 2 with a message, never a traceback."""
 

@@ -55,6 +55,34 @@ def sympy_snf():
     return lambda M: smith_normal_form(sympy.Matrix(M), domain=sympy.ZZ)
 
 
+@pytest.fixture(scope="module")
+def same_span_as_sympy_hnf():
+    """Whether the columns of a basis span the same lattice as sympy's
+    Hermite normal form of M, where sympy is installed: each side's
+    columns lie in the integer span of the other's, decided by exact
+    rational solves (both sides have independent columns)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    def in_span(B, v):
+        if B.cols == 0:
+            return not any(v)
+        try:
+            x, params = B.gauss_jordan_solve(v)
+        except ValueError:  # no rational solution
+            return False
+        assert params.shape[0] == 0
+        return all(c.is_integer for c in x)
+
+    def same_span(basis, M):
+        ours = sympy.Matrix(basis) if basis[0] else sympy.zeros(len(M), 0)
+        theirs = hermite_normal_form(sympy.Matrix(M))
+        return all(in_span(theirs, ours.col(j)) for j in range(ours.cols)) and all(
+            in_span(ours, theirs.col(j)) for j in range(theirs.cols))
+
+    return same_span
+
+
 class TestHNF:
     @given(matrices())
     @settings(max_examples=150, deadline=None)
@@ -85,6 +113,17 @@ class TestHNF:
         # rows (2,4),(3,5) span the same lattice as (1,1),(0,2)
         H, _ = intlin.hnf([[2, 4], [3, 5]])
         assert H == [[1, 1], [0, 2]]
+
+    @given(matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_column_span_matches_sympy(self, same_span_as_sympy_hnf, M):
+        # an independent implementation with its own normalization: only
+        # the column spans have to agree
+        assert same_span_as_sympy_hnf(intlin.column_hermite_basis(M), M)
+
+    def test_span_check_sees_a_sublattice(self, same_span_as_sympy_hnf):
+        assert not same_span_as_sympy_hnf([[2, 0], [0, 1]], [[1, 0], [0, 1]])
+        assert not same_span_as_sympy_hnf([[1], [0]], [[1, 0], [0, 1]])
 
 
 class TestSNF:
@@ -147,7 +186,7 @@ class TestKernel:
     def test_box_kernel_is_spanned(self, M):
         # every small kernel vector is an integer combination of the basis
         K = intlin.integer_kernel(M)
-        reducer = intlin.HermiteReducer.from_basis(K) if K and K[0] else None
+        reducer = oracles.HermiteReducer.from_basis(K) if K and K[0] else None
         for v in brute_force_kernel_box(M, 3):
             if not any(v):
                 continue
@@ -215,14 +254,14 @@ class TestHermiteReducer:
     def test_reduce_is_coset_invariant(self, L, v):
         if not any(any(c) for c in intlin.columns(L)):
             return
-        reducer = intlin.HermiteReducer.from_basis(L)
+        reducer = oracles.HermiteReducer.from_basis(L)
         for c in intlin.columns(L):
             shifted = [a + b for a, b in zip(v, c)]
             assert reducer.reduce(shifted) == reducer.reduce(v)
         assert reducer.contains(list(intlin.columns(L)[0]))
 
     def test_zero_reduction(self):
-        reducer = intlin.HermiteReducer.from_basis([[2], [0]])
+        reducer = oracles.HermiteReducer.from_basis([[2], [0]])
         assert reducer.reduce([4, 1]) == (0, 1)
         assert reducer.contains([6, 0])
         assert not reducer.contains([3, 0])

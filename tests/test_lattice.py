@@ -11,7 +11,7 @@ import oracles
 from conftest import make_h2, make_p113, rows_to_lattice
 from torilat import intlin, lattice
 from torilat.errors import CapExceededError, ValidationError
-from torilat.grading import Degree, setup_from_beta
+from torilat.grading import Degree, ToricSetup, setup_from_beta
 from torilat.intlin import sign_normalize
 from torilat.lattice import (
     Binomial,
@@ -27,8 +27,10 @@ from torilat.lattice import (
 )
 from torilat.torus import (
     all_torus_points,
+    degenerate_torus,
     point_from_rep,
     points_from_parameterization,
+    vanishing_lattice,
     zero_set_in_torus,
 )
 
@@ -115,6 +117,15 @@ class TestDegenerateLattice:
         res = degenerate_lattice([1, 1, 1, 1], 1, h2)
         assert res.D == [1, 1, 1, 1]
         assert intlin.lattice_equal(res.L, h2.phi)
+
+    def test_no_beta_rows(self):
+        # with no degree rows ker(beta D) is Z^r, so L = D Z^r = 6 Z^2
+        st = ToricSetup([[1, 0], [0, 1]], [], [], 7)
+        res = degenerate_lattice([1, 1], 6, st)
+        assert res.L == [[0, 6], [6, 0]]
+        assert res.gens.texts() == ["x2^6 - 1", "x1^6 - 1"]
+        Y, _ = degenerate_torus([1, 1], 6, st)
+        assert intlin.lattice_equal(res.L, vanishing_lattice(Y, st))
 
 
 class TestMixedDominating:

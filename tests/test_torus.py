@@ -2,21 +2,20 @@
 
 import random
 from functools import lru_cache
-from math import prod
+from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import oracles
 from conftest import make_h2, make_p113, random_homogeneous_lattice, rows_to_lattice
 from torilat import intlin
-from torilat.grading import setup_from_rays
+from torilat.grading import setup_from_beta, setup_from_rays
 from torilat.errors import CapExceededError, InternalError, ValidationError
 from torilat.torus import (
     PointSet,
     TorusPoint,
-    _exponent_lattice,
     all_torus_points,
     canonical_form,
     degenerate_torus,
@@ -125,6 +124,34 @@ class TestDegenerateTorus:
     def test_bad_subgroup_order(self, h2):
         with pytest.raises(ValidationError):
             degenerate_torus([1, 1, 1, 1], 3, h2)
+
+    @given(hst.lists(hst.integers(-6, 6), min_size=3, max_size=4),
+           hst.sampled_from([7, 13, 31]), hst.data())
+    @settings(max_examples=60, deadline=None)
+    def test_order_formula_on_rays_that_are_not_primitive(self, row, q, data):
+        # setup_from_beta keeps kernel rows such as (0, 3) for beta =
+        # (2, 3, -3); such a ray fixes lambda in its coordinate whenever
+        # lambda^{c_i} = 1, c_i the gcd of the ray
+        try:
+            st = setup_from_beta([row], q)
+        except ValidationError:
+            assume(False)
+        c = [gcd(*ray) for ray in st.phi]
+        assume(max(c) > 1)
+        # hand each prime-power factor of q-1 to one coordinate or to none,
+        # so the orders d_i are pairwise coprime
+        h = q - 1
+        d = [1] * st.r
+        for f in {7: [2, 3], 13: [4, 3], 31: [2, 3, 5]}[q]:
+            i = data.draw(hst.integers(-1, st.r - 1))
+            if i >= 0:
+                d[i] *= f
+        a = [h // di for di in d]
+        Y, predicted = degenerate_torus(a, h, st)
+        assert predicted == len(Y) == prod(di // gcd(di, ci) for di, ci in zip(d, c))
+        gens = [point_from_rep([ai if i == j else 0 for j in range(st.r)], st)
+                for i, ai in enumerate(a)]
+        assert oracles.bfs_closure(gens, st) == Y
 
 
 class TestSubgroups:
@@ -361,7 +388,7 @@ class TestStoredLattice:
         assert size == prod(qm // B[i][i] for i in range(st.n))
         # and agrees with the rebuilt lattice and the row match on the
         # enumerated forms
-        reducer = intlin.HermiteReducer.from_basis(B)
+        reducer = oracles.HermiteReducer.from_basis(B)
         for p, found in zip(pts, member):
             assert found == reducer.contains(p.canon)
             assert found == bool((Y.canon == p.canon).all(axis=1).any())
@@ -398,7 +425,7 @@ class TestHermiteReads:
         assert st.right_inverse() == intlin.from_columns(
             [oracles.solve_integer(phit, unit(i)) for i in range(n)], st.r
         )
-        C = _exponent_lattice(Y, st)
+        C = Y._dual
         assert C == intlin.from_columns(
             [oracles.solve_integer(B, unit(i, qm)) for i in range(n)], n
         )
