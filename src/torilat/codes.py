@@ -3,8 +3,9 @@
 Evaluation matrices over F_q, code dimension via the multigraded
 Hilbert function (a count of monomial classes on a subgroup, a rank
 elsewhere), length, Hilbert tables, and an exhaustive minimum-distance
-search in batches.  All field arithmetic is exact modular arithmetic;
-numpy only carries int64 residues.
+search in batches, over one message per orbit on a subgroup.  All field
+arithmetic is exact modular arithmetic; numpy only carries int64
+residues.
 """
 
 from __future__ import annotations
@@ -67,24 +68,25 @@ def _exponents(mons, reps, q):
 
 
 def _code(Y: PointSet, alpha: Degree, setup: ToricSetup):
-    """(k, F0, generator) of the degree-alpha code on Y; generator()
-    returns a k x N generator matrix.  On a subgroup the row of x^a is
-    the character s -> eta^{(a - a0) . s} of Y, fixed by its values on
-    `Y.basis_reps`.  Distinct characters are independent (Dedekind), so k
-    counts distinct label rows and one monomial per class spans the code;
-    no point is read until generator() runs.  Other sets take a rank."""
+    """(k, F0, generator, labels) of the degree-alpha code on Y;
+    generator() returns a k x N generator matrix.  On a subgroup the row
+    of x^a is the character s -> eta^{(a - a0) . s} of Y, fixed by its
+    values on `Y.basis_reps`: its row of `labels`.  Distinct characters
+    are independent (Dedekind), so k counts distinct label rows and one
+    monomial per class spans the code; no point is read until
+    generator() runs.  Other sets take a rank, and labels is None."""
     if not Y.is_group:
         mat, _, a0 = evaluation_matrix(Y, alpha, setup)
         basis = row_space_basis(mat, setup.q)
-        return basis.shape[0], a0, lambda: basis
+        return basis.shape[0], a0, lambda: basis, None
     mons = monomial_basis(alpha, setup)
     if not mons:
-        return 0, None, None
+        return 0, None, None, None
     labels = _exponents(mons, Y.basis_reps, setup.q)
     first = np.sort(np.unique(labels, axis=0, return_index=True)[1])
     classes = [mons[i] for i in first]
     return len(classes), mons[0], lambda: setup.field._pow[
-        _exponents(classes, Y.reps, setup.q)]
+        _exponents(classes, Y.reps, setup.q)], labels[first]
 
 
 def _echelon(mat: np.ndarray, q: int) -> np.ndarray:
@@ -206,6 +208,24 @@ def minimum_distance(basis: np.ndarray, q: int) -> int:
     The search stops at weight 1.  A search of more than 2^62 messages
     could never finish and raises CapExceededError before any work.
     """
+    return _search(basis, q)
+
+
+def _search(basis: np.ndarray, q: int, labels=None, pows=None) -> int:
+    """minimum_distance(basis, q); given `labels` and `pows`, over one
+    message per orbit of a subgroup Y.
+
+    Row i of `basis` is then a character chi_i of Y, labels[i] its
+    exponents of eta on the generators of Y, and pows[e] = eta^e.
+    Translation by g in Y permutes the coordinates and sends the word of
+    message m to that of (m_i chi_i(g)), of the same weight.  With
+    m_lead = 1, tail row j is so scaled by chi_j/chi_lead, whose image is
+    <eta^{g_j}>, g_j = gcd(q-1, labels[j] - labels[lead]).  The tail row of
+    least g_j is searched first, its digit drawn from {0, eta^0, ...,
+    eta^{g_j - 1}}, one per coset of that image; the rest of the tail runs
+    over all of F_q, so every orbit is met.  Without labels that digit
+    runs over all of F_q.
+    """
     k, N = basis.shape
     # (q^k - 1)/(q - 1) >= 2^k - 1, so k >= 64 needs no big-integer power
     if k >= 64 or (q**k - 1) // (q - 1) > _INDEX_LIMIT:
@@ -216,8 +236,17 @@ def minimum_distance(basis: np.ndarray, q: int) -> int:
     best = N
     for lead in range(k):
         tail, m = basis[lead + 1 :], k - lead - 1
+        first = np.arange(q, dtype=np.int64)  # the first tail row's digits
+        if labels is not None and m:
+            g = np.gcd.reduce(labels[lead + 1 :] - labels[lead], axis=1,
+                              initial=q - 1)
+            i = int(np.argmin(g))
+            tail = tail[[i, *range(i), *range(i + 1, m)]]
+            first = np.concatenate(([0], pows[: g[i]]))
         low = max([t for t in range(m) if q**t * N <= SEARCH_ENTRIES], default=0)
-        head, heads = tail[: m - low], q ** (m - low)
+        # low < m whenever m > 0, so the first tail row leads the head and
+        # its digits replace one factor q of the head count (m = 0: one)
+        head, heads = tail[: m - low], len(first) * q ** (m - low) // q
         # neg[c] = -(c . T_low) mod q, c in F_q^low in lexicographic order
         neg = np.zeros((1, N), dtype=np.int64)
         for row in tail[m - low :]:
@@ -229,7 +258,9 @@ def minimum_distance(basis: np.ndarray, q: int) -> int:
             index = np.arange(start, min(start + rows, heads), dtype=np.int64)
             digits = np.empty((index.size, m - low), dtype=np.int64)
             for j in range(m - low - 1, -1, -1):
-                index, digits[:, j] = np.divmod(index, q)
+                index, digits[:, j] = np.divmod(index, q if j else len(first))
+            # the first digit is a position in `first` (with m = 0, no-op)
+            digits[:, :1] = first[digits[:, :1]]
             # exact in int64: the product plus basis[lead] stays below
             # k (q-1)^2 + q < 2^63 (at q <= 10^6, for k below 9 * 10^6), as
             # does a table step; part and neg are compared as residues
@@ -262,13 +293,14 @@ def code_parameters(
     """Block-length, dimension and (optionally) minimum distance of the
     evaluation code C_{alpha, Y}.
 
-    The search for d visits (q^k - 1)/(q - 1) projective messages; above
+    The search for d is sized by its (q^k - 1)/(q - 1) projective messages
+    (on a subgroup it visits fewer, one per orbit of a tail digit); above
     `cap` it is skipped with a note."""
     if cap < 0:
         raise ValidationError(
             f"message cap must be nonnegative, got {_decimal(cap)}"
         )
-    k, a0, generator = _code(Y, alpha, setup)
+    k, a0, generator, labels = _code(Y, alpha, setup)
     q = setup.q
     d = None
     note = ""
@@ -284,7 +316,7 @@ def code_parameters(
                     f"exceed cap {_decimal(cap)}"
                 )
             else:
-                d = minimum_distance(generator(), q)
+                d = _search(generator(), q, labels, setup.field._pow)
     return CodeSummary(
         N=len(Y), k=k, d=d, alpha=alpha, F0=a0, note=note,
     )

@@ -13,6 +13,9 @@ import numpy as np
 from .errors import CapExceededError, ValidationError
 
 FIELD_SIZE_CAP = 10**6
+# powers of eta computed one product at a time before the table doubles;
+# at the smallest fields a numpy step costs more than the Python loop
+_FIRST_POWERS = 64
 
 
 def is_prime(q: int) -> bool:
@@ -69,12 +72,20 @@ class PrimeField:
             raise ValidationError(f"field size {q} is not prime")
         self.q = q
         self.eta = primitive_root(q)
-        pows = [1] * (q - 1)
-        for i in range(1, q - 1):
-            pows[i] = pows[i - 1] * self.eta % q
         # int64 tables, so evaluation indexes them without a conversion;
         # only the tests' discrete_log and the benchmark's counter read _log
-        self._pow = np.array(pows, dtype=np.int64)
+        self._pow = np.empty(q - 1, dtype=np.int64)
+        # a first block by products, then by doubling: eta^{n+i} =
+        # eta^i eta^n for i < n, below q^2 <= 10^12 before the reduction
+        n = min(q - 1, _FIRST_POWERS)
+        pows = [1] * n
+        for i in range(1, n):
+            pows[i] = pows[i - 1] * self.eta % q
+        self._pow[:n] = pows
+        while n < q - 1:
+            step = min(n, q - 1 - n)
+            self._pow[n : n + step] = self._pow[:step] * pow(self.eta, n, q) % q
+            n += step
         self._log = np.zeros(q, dtype=np.int64)
         self._log[self._pow] = np.arange(q - 1)
 

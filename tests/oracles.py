@@ -233,6 +233,15 @@ def discrete_log(field, x):
     return int(field._log[x])
 
 
+def powers_by_products(field):
+    """eta^0, ..., eta^{q-2} of `field`, one product mod q at a time."""
+    q = field.q
+    pows = [1] * (q - 1)
+    for i in range(1, q - 1):
+        pows[i] = pows[i - 1] * field.eta % q
+    return pows
+
+
 def binomial_value(b, point, setup):
     """x^{m+} - scale * x^{m-} of the Binomial b at a torus point, as an
     element of F_q."""

@@ -518,12 +518,67 @@ class TestMinimumDistance:
         + [(4, q, 1) for q in (5, 7, 11)]
         + [(5, 3, t) for t in (1, 2)]
         + [(5, q, 1) for q in (5, 7)]
+        + [(3, 13, 2), (3, 97, 1)]
     ))
     def test_projective_torus_closed_form(self, s, q, t):
         Y, setup = projective_torus(s, q)
         cs = code_parameters(Y, Degree(free=(t,)), setup, compute_d=True)
         assert cs.N == (q - 1) ** (s - 1)
         assert cs.d == projective_torus_distance(s, q, t)
+
+
+class TestOrbitSearch:
+    """On a subgroup the distance search draws the first tail digit of each
+    lead from one coset representative per orbit; d must not change."""
+
+    @given(setups, hst.data())
+    @settings(max_examples=120, deadline=None)
+    def test_orbit_search_matches_the_message_loop(self, st, data):
+        Y = draw_subgroup(st, data)
+        if st.k == 2:
+            alpha = Degree(free=(data.draw(hst.integers(-2, 8)),
+                                 data.draw(hst.integers(0, 4))))
+        else:
+            alpha = Degree(free=(data.draw(hst.integers(0, 8)),))
+        q = st.q
+        k, _, generator, labels = codes._code(Y, alpha, st)
+        assume(k >= 2)
+        assert labels.shape == (k, len(Y.basis_reps))
+        # any subset of the class rows spans a group code too: search the
+        # first ones, as many as the message loop can take
+        kk = max(j for j in range(2, k + 1) if (q**j - 1) // (q - 1) <= 3000)
+        rows, labels = generator()[:kk], labels[:kk]
+        # lead 0 tabulates `low` tail digits and takes blocks of `block`
+        # head messages; the table always leaves the first tail digit,
+        # the restricted one, to the head, here over one or more blocks
+        low = data.draw(hst.integers(0, kk - 2))
+        block = data.draw(hst.integers(1, q - 1))
+        entries = q**low * len(Y) * block
+        with mock.patch.object(codes, "SEARCH_ENTRIES", entries):
+            d = codes._search(rows, q, labels, st.field._pow)
+            if kk == k:
+                assert code_parameters(Y, alpha, st, compute_d=True).d == d
+        assert d == oracles.min_distance_by_messages(rows, q)
+
+    def test_point_set_that_is_not_a_group_takes_the_plain_search(self, h2, y50):
+        # half the points of a subgroup: no labels, so the first tail
+        # digit runs over all of F_q
+        P = PointSet(list(y50)[::2])
+        assert not P.is_group
+        alpha = Degree(free=(0, 1))
+        k, _, generator, labels = codes._code(P, alpha, h2)
+        assert labels is None and k == 4
+        searched = []
+        search = codes._search
+
+        def recording(basis, q, labels=None, pows=None):
+            searched.append(labels)
+            return search(basis, q, labels, pows)
+
+        with mock.patch.object(codes, "_search", recording):
+            cs = code_parameters(P, alpha, h2, compute_d=True)
+        assert searched == [None]
+        assert cs.d == oracles.min_distance_by_messages(generator(), 11)
 
 
 def no_elimination(*args):

@@ -1,5 +1,6 @@
 """Prime-field arithmetic and discrete-log tables."""
 
+import numpy as np
 import pytest
 
 import oracles
@@ -39,6 +40,16 @@ def test_log_is_group_isomorphism(q):
                 oracles.discrete_log(f, x * y % q)
                 == (oracles.discrete_log(f, x) + oracles.discrete_log(f, y)) % (q - 1)
             )
+
+
+@pytest.mark.parametrize(
+    "q", [q for q in range(2, 200) if is_prime(q)] + [999983]
+)
+def test_power_table_matches_the_product_loop(q):
+    # below 64 powers the table is the loop's; above, it doubles
+    f = PrimeField(q)
+    assert f._pow.dtype == np.int64
+    assert f._pow.tolist() == oracles.powers_by_products(f)
 
 
 def test_rejects_composite():
