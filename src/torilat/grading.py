@@ -16,7 +16,8 @@ from . import intlin
 from .errors import CapExceededError, InternalError, ValidationError
 from .gfield import PrimeField
 
-# Nodes one monomial search may visit; degree (30, 30) on H_2 needs 3.54 M.
+# Nodes a search of every value of every exponent may visit; the solved
+# exponents count theirs in closed form.  Degree (30, 30) on H_2 needs 3.54 M.
 MONOMIAL_SEARCH_CAP = 5 * 10**6
 
 
@@ -289,13 +290,36 @@ def positive_functional(setup: ToricSetup):
     return wi
 
 
+def _floor_sum(n, m, a, c):
+    """Sum of (a*i + c) // m over 0 <= i < n, for m > 0 and a, c >= 0,
+    in O(log m) steps (the Euclid-like reduction of AtCoder's floor_sum)."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if c >= m:
+            total += n * (c // m)
+            c %= m
+        y = a * n + c
+        if y < m:
+            return total
+        n, c = divmod(y, m)
+        m, a = a, m
+
+
 def _enumerate_solutions(alpha_free, setup, allowed, find_one=False):
     """All a in N^r supported on `allowed` with beta_free . a = alpha_free,
     in ascending lexicographic order.  Requires a pointed grading.
 
     The last allowed exponent is solved from one row of the remainder
-    rather than searched; it still counts top + 1 nodes, so the cap trips
-    where a search of every value would."""
+    rather than searched.  When the columns of the last two are
+    independent (some 2x2 minor on rows i1, i2 is nonzero, so k >= 2),
+    both are solved by Cramer's rule at the level before, which then
+    holds at most one solution.  Node counts are those of a search of
+    every value of every exponent: a solved level still counts top + 1
+    nodes, and a solved pair counts its children and their children in
+    closed form, so the cap trips where the full search would."""
     w = positive_functional(setup)
     if w is None:
         raise ValidationError(
@@ -314,21 +338,54 @@ def _enumerate_solutions(alpha_free, setup, allowed, find_one=False):
     a = [0] * setup.r
     allowed = sorted(allowed)
     last = len(allowed) - 1
+    pair = None  # (i1, i2, minor) for the last two allowed columns
+    if last >= 1:
+        cp, cl = cols[allowed[last - 1]], cols[allowed[last]]
+        pair = next(
+            ((i1, i2, cp[i1] * cl[i2] - cp[i2] * cl[i1])
+             for i1 in range(setup.k) for i2 in range(i1 + 1, setup.k)
+             if cp[i1] * cl[i2] != cp[i2] * cl[i1]),
+            None,
+        )
     nodes = 1
 
-    def rec(pos, rem, bud):
+    def count(more):
         nonlocal nodes
+        nodes += more
+        if nodes > MONOMIAL_SEARCH_CAP:
+            raise CapExceededError(
+                f"monomial search passed {MONOMIAL_SEARCH_CAP} nodes")
+
+    def rec(pos, rem, bud):
         if pos > last:  # nothing is allowed
             if not any(rem):
                 out.append(tuple(a))
             return
         j = allowed[pos]
         top = bud // weights[j]
-        nodes += top + 1  # the children, counted once by their parent
-        if nodes > MONOMIAL_SEARCH_CAP:
-            raise CapExceededError(
-                f"monomial search passed {MONOMIAL_SEARCH_CAP} nodes")
         col = cols[j]
+        if pair and pos == last - 1:
+            i1, i2, minor = pair
+            l = allowed[last]
+            cl = cols[l]
+            u, ru = divmod(rem[i1] * cl[i2] - rem[i2] * cl[i1], minor)
+            v, rv = divmod(col[i1] * rem[i2] - col[i2] * rem[i1], minor)
+            hit = ru == rv == 0 and u >= 0 and v >= 0 and all(
+                x == u * b + v * c for x, b, c in zip(rem, col, cl)
+            )
+            # the full search tries a_j = t for t = 0..top and, under each
+            # t <= end, a_l = 0..(bud - t w_j) // w_l; with find_one it stops
+            # after the child that succeeds.  A hit has u w_j + v w_l = bud,
+            # so u <= top.
+            end = u if hit and find_one else top
+            count(top + end + 2 + _floor_sum(
+                end + 1, weights[l], weights[j], bud - end * weights[j]))
+            if hit:
+                a[j], a[l] = u, v
+                out.append(tuple(a))
+                a[j] = a[l] = 0
+            return
+        count(top + 1)  # the children, counted once by their parent
         if pos == last:
             v, r = divmod(rem[pivots[j]], col[pivots[j]])
             if r == 0 and 0 <= v <= top and all(

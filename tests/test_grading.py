@@ -4,7 +4,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 import oracles
@@ -267,6 +267,13 @@ class TestMonomialBasis:
         monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 138_330)
         assert monomial_basis(Degree(free=(20, 10)), h2) == mons
 
+    def test_real_cap_splits_32_and_33(self, h2):
+        # the full search visits 4,526,181 nodes at (32, 32) and 5,090,310
+        # at (33, 33), either side of the 5 * 10**6 cap
+        assert len(monomial_basis(Degree(free=(32, 32)), h2)) == 2145
+        with pytest.raises(CapExceededError):
+            monomial_basis(Degree(free=(33, 33)), h2)
+
     def test_lex_ascending(self, h2):
         mons = monomial_basis(Degree(free=(2, 3)), h2)
         assert mons == sorted(mons)
@@ -279,6 +286,10 @@ POINTED = [
     setup_from_beta([[1, 2, 3, 4, 5]], 11),
     # P^2 blown up at two points: class group Z^3
     setup_from_rays([[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]], 11),
+    # rank 2 with parallel last columns: the last exponent alone is solved
+    setup_from_beta([[1, 0, 1, 1], [0, 1, 1, 1]], 11),
+    # rank 3: a pair is solved on the first two rows with a nonzero minor
+    setup_from_beta([[1, 0, 0, 1, 1], [0, 1, 0, 1, 2], [0, 0, 1, 1, 3]], 11),
 ]
 
 
@@ -286,7 +297,7 @@ POINTED = [
 def searches(draw):
     setup = draw(hst.sampled_from(POINTED))
     alpha = tuple(
-        draw(hst.lists(hst.integers(-3, 9), min_size=setup.k, max_size=setup.k))
+        draw(hst.lists(hst.integers(-3, 14), min_size=setup.k, max_size=setup.k))
     )
     keep = draw(hst.lists(hst.booleans(), min_size=setup.r, max_size=setup.r))
     allowed = [j for j in range(setup.r) if keep[j]]
@@ -297,7 +308,7 @@ def searches(draw):
 @given(searches())
 def test_enumeration_matches_full_search(case):
     """Same monomials in the same order, and the cap trips at the same
-    node, as the search over every value of the last exponent."""
+    node, as the search over every value of every exponent."""
     setup, alpha, allowed, find_one = case
     want, nodes = oracles.monomials_by_full_search(alpha, setup, allowed, find_one)
     with mock.patch.object(grading, "MONOMIAL_SEARCH_CAP", nodes):
@@ -306,6 +317,15 @@ def test_enumeration_matches_full_search(case):
         with mock.patch.object(grading, "MONOMIAL_SEARCH_CAP", nodes - 1):
             with pytest.raises(CapExceededError):
                 grading._enumerate_solutions(alpha, setup, allowed, find_one)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.integers(0, 60), hst.integers(1, 50), hst.integers(0, 200),
+       hst.integers(0, 200))
+@example(0, 7, 9, 12)
+@example(5, 3, 10, 8)
+def test_floor_sum_matches_the_plain_sum(n, m, a, c):
+    assert grading._floor_sum(n, m, a, c) == sum((a * i + c) // m for i in range(n))
 
 
 class TestSemigroupMembership:
