@@ -2,11 +2,13 @@
 
 The primitive root eta is fixed per q as the smallest one, so every
 exponent-space computation in the rest of the package is deterministic.
-Each field builds its own power and log tables; q is desk scale
-(<= 10^6).
+Each field builds its own power and log tables when they are first read;
+q is desk scale (<= 10^6).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -62,32 +64,44 @@ def primitive_root(q: int) -> int:
 
 
 class PrimeField:
-    """F_q with a fixed primitive root and a full discrete-log table."""
+    """F_q with a fixed primitive root; its power and discrete-log tables
+    are built when first read."""
 
     def __init__(self, q: int):
-        # checked before trial division and the length-q tables
+        # checked before trial division and before any length-q table
         if q > FIELD_SIZE_CAP:
             raise CapExceededError(f"field size {q} exceeds cap {FIELD_SIZE_CAP}")
         if not is_prime(q):
             raise ValidationError(f"field size {q} is not prime")
         self.q = q
         self.eta = primitive_root(q)
-        # int64 tables, so evaluation indexes them without a conversion;
-        # only the tests' discrete_log and the benchmark's counter read _log
-        self._pow = np.empty(q - 1, dtype=np.int64)
-        # a first block by products, then by doubling: eta^{n+i} =
-        # eta^i eta^n for i < n, below q^2 <= 10^12 before the reduction
+
+    # int64 tables, so evaluation indexes them without a conversion; only
+    # the tests' discrete_log and the benchmark's counter read _log
+    @cached_property
+    def _pow(self):
+        """eta^e for 0 <= e < q-1: a first block by products, then by
+        doubling: eta^{n+i} = eta^i eta^n for i < n, below q^2 <= 10^12
+        before the reduction."""
+        q = self.q
+        table = np.empty(q - 1, dtype=np.int64)
         n = min(q - 1, _FIRST_POWERS)
         pows = [1] * n
         for i in range(1, n):
             pows[i] = pows[i - 1] * self.eta % q
-        self._pow[:n] = pows
+        table[:n] = pows
         while n < q - 1:
             step = min(n, q - 1 - n)
-            self._pow[n : n + step] = self._pow[:step] * pow(self.eta, n, q) % q
+            table[n : n + step] = table[:step] * pow(self.eta, n, q) % q
             n += step
-        self._log = np.zeros(q, dtype=np.int64)
-        self._log[self._pow] = np.arange(q - 1)
+        return table
+
+    @cached_property
+    def _log(self):
+        """log_eta x for 0 < x < q; entry 0 is 0."""
+        table = np.zeros(self.q, dtype=np.int64)
+        table[self._pow] = np.arange(self.q - 1)
+        return table
 
     def eta_pow(self, e: int) -> int:
         return int(self._pow[e % (self.q - 1)])

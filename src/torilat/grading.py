@@ -285,7 +285,7 @@ def positive_functional(setup: ToricSetup):
         sum(wi[i] * setup.beta_free[i][j] for i in range(setup.k)) <= 0
         for j in range(setup.r)
     ):
-        raise ValidationError("positive functional verification failed")
+        raise InternalError("positive functional verification failed")
     setup._functional = wi
     return wi
 

@@ -158,22 +158,21 @@ def is_dominating(gamma) -> bool:
     return True
 
 
-def complete_intersection(L, setup: ToricSetup | None = None) -> bool:
+def complete_intersection(L, setup: ToricSetup) -> bool:
     """Whether the Hermite-canonical basis matrix of L is mixed
     dominating.  True proves that I_L is a complete intersection
     (Fischer-Shapiro; Morales-Thoma).  False only means that this basis
     is not: I_L is one as soon as some basis of L is mixed dominating.
 
-    Requires L n N^r = {0}; when a setup is supplied this is certified by
-    homogeneity plus a pointed grading.
+    Requires L n N^r = {0}, certified by homogeneity plus a pointed
+    grading.
     """
-    if setup is not None:
-        if not is_homogeneous(L, setup):
-            raise ValidationError("lattice is not homogeneous")
-        if positive_functional(setup) is None:
-            raise ValidationError(
-                "grading is not pointed; cannot certify L n N^r = {0}"
-            )
+    if not is_homogeneous(L, setup):
+        raise ValidationError("lattice is not homogeneous")
+    if positive_functional(setup) is None:
+        raise ValidationError(
+            "grading is not pointed; cannot certify L n N^r = {0}"
+        )
     gamma = intlin.column_hermite_basis(L)
     return is_mixed(gamma) and is_dominating(gamma)
 

@@ -10,7 +10,7 @@ A subgroup of T_X is, in canonical forms, a lattice Lambda with
 its subgroup and keeps the Hermite basis B of Lambda, which gives the
 order; membership, structure and the vanishing lattice read the dual
 basis C = (q-1) B^{-1}, computed once per subgroup, and the points are
-enumerated from B only when they are read.
+enumerated from B only when they are read, at most TORUS_ENUM_CAP of them.
 """
 
 from __future__ import annotations
@@ -65,7 +65,11 @@ class PointSet:
     @cached_property
     def _arrays(self):
         """(canon, reps) of a subgroup: sum_j x_j B_j with 0 <= x_j <
-        (q-1)/B_jj, each point once."""
+        (q-1)/B_jj, each point once, and at most TORUS_ENUM_CAP of them."""
+        if len(self) > TORUS_ENUM_CAP:
+            raise CapExceededError(
+                f"subgroup has {len(self)} points, cap is {TORUS_ENUM_CAP}"
+            )
         qm, B = self._qm, self.basis
         n, r = len(B), self._r
         # entries stay below (q-1)^2 <= 10^12 (q is capped at 10^6), far
@@ -178,11 +182,10 @@ def _subgroup(reps, setup: ToricSetup) -> PointSet:
     In canonical forms the subgroup is the lattice Lambda spanned by the
     generators and (q-1)Z^n.  The column Hermite form of [generators |
     (q-1)I] gives its lower-triangular basis B, so |Lambda / (q-1)Z^n| =
-    prod (q-1)/B_ii is checked against the cap before any point exists.
-    The transform W writes each basis column as an integer combination of
-    the generators; the same combination of their representatives (the
-    (q-1)e_j contribute the identity) represents that column; the set
-    keeps B and these representatives.
+    prod (q-1)/B_ii, whatever its size.  The transform W writes each basis
+    column as an integer combination of the generators; the same
+    combination of their representatives (the (q-1)e_j contribute the
+    identity) represents that column; the set keeps B and these.
     """
     qm = setup.q - 1
     n, r = setup.n, setup.r
@@ -195,12 +198,7 @@ def _subgroup(reps, setup: ToricSetup) -> PointSet:
         [sum(W[k][j] * s[i] for k, s in enumerate(reps)) % qm for i in range(r)]
         for j in range(n)
     ]
-    Y = PointSet._from_lattice([row[:n] for row in H], basis_reps, qm, r)
-    if len(Y) > TORUS_ENUM_CAP:
-        raise CapExceededError(
-            f"subgroup has {len(Y)} points, cap is {TORUS_ENUM_CAP}"
-        )
-    return Y
+    return PointSet._from_lattice([row[:n] for row in H], basis_reps, qm, r)
 
 
 def all_torus_points(setup: ToricSetup) -> PointSet:

@@ -3,12 +3,14 @@
 import copy
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA, load_json
+from torilat import grading
 from torilat.cli import COMMANDS, main
 
 
@@ -324,9 +326,21 @@ class TestOutputsAndErrors:
         }
         f = tmp_path / "big.json"
         f.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "parameterize", str(f))
-        assert code == 3
-        assert "cap" in err.lower()
+        # the whole 1008^3-point torus: its count needs no point listed
+        code, out, _ = run(capsys, "parameterize", str(f))
+        assert code == 0
+        result = json.loads(out)
+        assert (result["num_points"], result["points"]) == (1008**3, None)
+        # k = 1, so only the point cap stops the distance search
+        code, out, err = run(capsys, "code", str(f), "--alpha", "0", "--min-distance")
+        assert (code, out) == (3, "")
+        assert err == f"error: subgroup has {1008**3} points, cap is 1000000\n"
+
+    def test_failed_functional_check_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(grading, "_fm_find", lambda cons, k: [Fraction(-1)] * k)
+        code, out, err = run(capsys, "degenerate-lattice", problem_path("h2_a2455.json"))
+        assert (code, out) == (4, "")
+        assert err == "internal error: positive functional verification failed\n"
 
     def test_composite_q_exit_2(self, capsys, tmp_path):
         doc = {"variety": {"beta": [[1, 1]]}, "field": {"q": 9}, "task": {}}

@@ -46,8 +46,10 @@ def test_log_is_group_isomorphism(q):
     "q", [q for q in range(2, 200) if is_prime(q)] + [999983]
 )
 def test_power_table_matches_the_product_loop(q):
-    # below 64 powers the table is the loop's; above, it doubles
+    # below 64 powers the table is the loop's; above, it doubles; the
+    # tables are built when first read
     f = PrimeField(q)
+    assert "_pow" not in vars(f) and "_log" not in vars(f)
     assert f._pow.dtype == np.int64
     assert f._pow.tolist() == oracles.powers_by_products(f)
 

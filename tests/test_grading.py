@@ -1,5 +1,6 @@
 """Grading setup, degrees, homogeneity, monomial enumeration."""
 
+from fractions import Fraction
 from itertools import product
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as hst
 import oracles
 from conftest import make_h2, make_p113, rows_to_lattice
 from torilat import grading, intlin
-from torilat.errors import CapExceededError, ValidationError
+from torilat.errors import CapExceededError, InternalError, ValidationError
 from torilat.grading import (
     Degree,
     ToricSetup,
@@ -215,6 +216,13 @@ class TestPositiveFunctional:
         # degrees 1 and -1: the semigroup is all of Z, no positive w
         st = ToricSetup([[1], [1]], [[1, -1]], [], 5, check_primitive=True)
         assert positive_functional(st) is None
+
+    def test_failed_verification_is_an_internal_error(self, monkeypatch):
+        # a functional that is not positive on every degree is a fault of
+        # the elimination, not of the input
+        monkeypatch.setattr(grading, "_fm_find", lambda cons, k: [Fraction(-1)])
+        with pytest.raises(InternalError, match="verification failed"):
+            positive_functional(make_p113())
 
 
 class TestMonomialBasis:

@@ -198,8 +198,6 @@ class TestMixedDominating:
         st = ToricSetup([[1], [1]], [[1, -1]], [], 5)
         with pytest.raises(ValidationError):
             complete_intersection([[1], [1]], st)
-        # without a setup the raw mixed-dominating test still runs
-        assert not complete_intersection([[1], [1]])
 
 
 class TestTorusIdeal:

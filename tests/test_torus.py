@@ -3,6 +3,7 @@
 import random
 from functools import lru_cache
 from math import gcd, prod
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,8 +11,8 @@ from hypothesis import strategies as hst
 
 import oracles
 from conftest import make_h2, make_p113, random_homogeneous_lattice, rows_to_lattice
-from torilat import intlin
-from torilat.grading import setup_from_beta, setup_from_rays
+from torilat import codes, intlin, torus
+from torilat.grading import degree_of, setup_from_beta, setup_from_rays
 from torilat.errors import CapExceededError, InternalError, ValidationError
 from torilat.torus import (
     PointSet,
@@ -75,9 +76,15 @@ class TestEnumeration:
         assert len(all_torus_points(p113)) == 1000
 
     def test_cap(self):
-        st = make_p113(q=1009)
-        with pytest.raises(CapExceededError):
-            all_torus_points(st)
+        # 1008^3 points: the subgroup is built, and only reading its points
+        # meets the cap
+        Y = all_torus_points(make_p113(q=1009))
+        assert len(Y) == 1008**3
+        message = f"subgroup has {1008**3} points, cap is 1000000"
+        for read in (lambda: Y.canon, lambda: Y.reps, lambda: next(iter(Y))):
+            with pytest.raises(CapExceededError, match=message):
+                read()
+        assert "_arrays" not in vars(Y)
 
     def test_identity_present(self, h2):
         assert oracles.identity_point(h2) in all_torus_points(h2)
@@ -405,6 +412,46 @@ class TestStoredLattice:
         )
         assert Y == all_torus_points(st)
         assert "_arrays" not in vars(Y)
+
+    @given(setups, hst.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cap_bounds_the_points_read_not_the_subgroup(self, st, data):
+        """With the cap below |Y|, every constructor builds Y and every
+        question answered from its lattice gets the answer the listed
+        points give; only the reads of points raise."""
+        alpha = degree_of(data.draw(hst.lists(
+            hst.integers(0, 2), min_size=st.r, max_size=st.r)), st)
+        pts = [point_from_rep(s, st) for s in data.draw(exponent_rows(st, 4))]
+        # every subgroup holds the identity, so a cap of 0 is below |Y|
+        with mock.patch.object(torus, "TORUS_ENUM_CAP", 0):
+            Y = draw_subgroup(st, data)
+            size = len(Y)
+            gs = group_structure(Y, st)
+            again = points_from_parameterization(gs.Q, gs.h, st)
+            same = Y == again
+            member = [p in Y for p in pts]
+            L = vanishing_lattice(Y, st)
+            H = codes.hilbert_function(Y, alpha, st)
+            summary = codes.code_parameters(Y, alpha, st)
+            assert "_arrays" not in vars(Y) and "_arrays" not in vars(again)
+            message = f"subgroup has {size} points, cap is 0"
+            for read in (
+                lambda: Y.canon,
+                lambda: Y.reps,
+                lambda: next(iter(Y)),
+                lambda: codes.evaluation_matrix(Y, alpha, st),
+                lambda: codes.code_parameters(Y, alpha, st, compute_d=True,
+                                              cap=st.q**summary.k),
+            ):
+                with pytest.raises(CapExceededError, match=message):
+                    read()
+        listed = PointSet(list(Y))
+        assert size == len(listed) and prod(gs.orders) == size
+        assert same and again == listed
+        assert member == [p in listed for p in pts]
+        assert zero_set_in_torus(L, st) == listed
+        assert H == codes.hilbert_function(listed, alpha, st) >= 1
+        assert (summary.N, summary.k) == (size, H)
 
 
 class TestHermiteReads:
