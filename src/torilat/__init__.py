@@ -5,12 +5,9 @@ generalized toric codes they define."""
 from .codes import (
     CodeSummary,
     code_parameters,
-    degree_leq,
     evaluation_matrix,
     hilbert_function,
     hilbert_table,
-    injectivity_certified,
-    injectivity_check,
     injectivity_exact,
 )
 from .errors import CapExceededError, InternalError, TorilatError, ValidationError

@@ -2,10 +2,10 @@
 
 Evaluation matrices over F_q, code dimension via the multigraded
 Hilbert function (a count of monomial classes on a subgroup, a rank
-elsewhere), length, Hilbert tables, and an exhaustive minimum-distance
-search in batches, over one message per orbit on a subgroup.  All field
-arithmetic is exact modular arithmetic; numpy only carries int64
-residues.
+elsewhere), length, Hilbert tables, injectivity of evaluation on a
+degenerate torus, and an exhaustive minimum-distance search in batches,
+over one message per orbit on a subgroup.  All field arithmetic is exact
+modular arithmetic; numpy only carries int64 residues.
 """
 
 from __future__ import annotations
@@ -15,15 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
-from .grading import (
-    Degree,
-    ToricSetup,
-    _enumerate_solutions,
-    degree_of,
-    monomial_basis,
-)
-from .lattice import degenerate_lattice, hilbert_of_lattice
-from .torus import PointSet, _diagonal_orders
+from .grading import Degree, ToricSetup, monomial_basis
+from .torus import PointSet, degenerate_torus
 
 DEFAULT_MESSAGE_CAP = 10**6
 # Entries in one temporary of the minimum-distance search: the table of
@@ -57,7 +50,15 @@ def evaluation_matrix(Y: PointSet, alpha: Degree, setup: ToricSetup):
     mons = monomial_basis(alpha, setup)
     if not mons:
         return np.zeros((0, len(Y)), dtype=np.int64), [], None
-    return setup.field._pow[_exponents(mons, Y.reps, setup.q)], mons, mons[0]
+    return _evaluate(mons, Y, setup), mons, mons[0]
+
+
+def _evaluate(mons, Y: PointSet, setup: ToricSetup):
+    """eta^{(a - a0) . s} for a in `mons` (rows) and the points s of Y
+    (columns).  The points are read before the field's power table is
+    built, so a set over the point cap raises without building it."""
+    e = _exponents(mons, Y.reps, setup.q)
+    return setup.field._pow[e]
 
 
 def _exponents(mons, reps, q):
@@ -85,8 +86,8 @@ def _code(Y: PointSet, alpha: Degree, setup: ToricSetup):
     labels = _exponents(mons, Y.basis_reps, setup.q)
     first = np.sort(np.unique(labels, axis=0, return_index=True)[1])
     classes = [mons[i] for i in first]
-    return len(classes), mons[0], lambda: setup.field._pow[
-        _exponents(classes, Y.reps, setup.q)], labels[first]
+    return (len(classes), mons[0], lambda: _evaluate(classes, Y, setup),
+            labels[first])
 
 
 def _echelon(mat: np.ndarray, q: int) -> np.ndarray:
@@ -144,53 +145,13 @@ def hilbert_table(Y: PointSet, first_values, second_values, setup: ToricSetup):
     ]
 
 
-def degree_leq(alpha: Degree, alpha2: Degree, setup: ToricSetup) -> bool:
-    """alpha <= alpha2 iff alpha2 - alpha lies in the degree semigroup,
-    i.e. some monomial has degree alpha2 - alpha."""
-    setup._require_degrees("semigroup comparison", alpha, alpha2)
-    diff = [y - x for x, y in zip(alpha.free, alpha2.free)]
-    return bool(_enumerate_solutions(diff, setup, range(setup.r), find_one=True))
-
-
-def injectivity_check(a, h, alpha: Degree, setup: ToricSetup) -> bool:
-    """Whether alpha <= d_1 beta_1 + ... + d_r beta_r.
-
-    This is the published degree bound for injectivity of evaluation on
-    the degenerate torus, but it is NOT sufficient when the degrees
-    beta_i have mixed-sign coordinates: alpha can sit below the bound
-    and above a generator degree of the vanishing ideal at the same
-    time.  Use injectivity_exact for a decision, or
-    injectivity_certified for a provable sufficient condition.
-    """
-    d = _diagonal_orders(a, h, setup)
-    return degree_leq(alpha, degree_of(d, setup), setup)
-
-
-def injectivity_certified(a, h, alpha: Degree, setup: ToricSetup) -> bool:
-    """Provable sufficient condition for injective evaluation.
-
-    If two distinct degree-alpha monomials are congruent modulo the
-    degenerate-torus lattice D(L_{beta D}), their difference Dm gives
-    alpha >= beta(D m+) >= d_i beta_i for any i in the support of m+.
-    Hence when no d_i beta_i precedes alpha, evaluation is injective.
-    """
-    d = _diagonal_orders(a, h, setup)
-    return all(
-        not degree_leq(
-            degree_of([d[j] if i == j else 0 for i in range(setup.r)], setup),
-            alpha,
-            setup,
-        )
-        for j in range(setup.r)
-    )
-
-
 def injectivity_exact(a, h, alpha: Degree, setup: ToricSetup) -> bool:
-    """Exact decision: evaluation at the degenerate torus is injective on
-    S_alpha iff no two distinct degree-alpha monomials agree modulo the
-    vanishing lattice."""
-    L = degenerate_lattice(a, h, setup).L
-    return hilbert_of_lattice(L, alpha, setup) == len(monomial_basis(alpha, setup))
+    """Whether evaluation at the degenerate torus Y_{A,H} is injective on
+    S_alpha: exactly when k = dim S_alpha, that is when no two distinct
+    degree-alpha monomials fall in one class of the subgroup.  The class
+    count reads no point."""
+    Y, _ = degenerate_torus(a, h, setup)
+    return hilbert_function(Y, alpha, setup) == len(monomial_basis(alpha, setup))
 
 
 def minimum_distance(basis: np.ndarray, q: int) -> int:

@@ -207,7 +207,7 @@ def hilbert_of_lattice(L, alpha: Degree, setup: ToricSetup) -> int:
 
     For a lattice ideal this equals dim S_alpha - dim (I_L)_alpha.  It is
     the coset-count cross-check of the class count and the rank in
-    `codes`; `injectivity_exact` reads it, and it stays in the library
+    `codes`, which no library routine reads; it stays in the library only
     because the benchmark's `hilbert` workload times it.
     """
     if not is_homogeneous(L, setup):

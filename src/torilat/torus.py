@@ -137,7 +137,8 @@ class PointSet:
         if self.is_group and other.is_group:
             # Lambda has one reduced lower-triangular Hermite basis
             return (self.basis, self._qm) == (other.basis, other._qm)
-        return np.array_equal(self.canon, other.canon)
+        # sizes first: a subgroup over the point cap equals no listed set
+        return len(self) == len(other) and np.array_equal(self.canon, other.canon)
 
     def __repr__(self):
         return f"PointSet({len(self)} points, is_group={self.is_group})"

@@ -35,6 +35,12 @@ solving for it.
 Points and binomials: the identity point of the torus, the value of a
 binomial at a point and the discrete log of a field element, which only
 the tests read.
+
+Injectivity of evaluation on a degenerate torus: the route through the
+degenerate lattice and its coset count that the class count in
+`torilat.codes.injectivity_exact` replaced; the published degree bound,
+which is not sufficient; a provable sufficient condition; and the
+semigroup comparison of degrees that the last two read.
 """
 
 from dataclasses import dataclass
@@ -45,7 +51,12 @@ import numpy as np
 
 from torilat import intlin
 from torilat.errors import ValidationError
-from torilat.grading import positive_functional
+from torilat.grading import (
+    _enumerate_solutions,
+    degree_of,
+    monomial_basis,
+    positive_functional,
+)
 from torilat.intlin import (
     IntMatrix,
     column_hermite_basis,
@@ -56,7 +67,14 @@ from torilat.intlin import (
     mat_vec,
     shape,
 )
-from torilat.torus import PointSet, TorusPoint, point_from_canon, point_from_rep
+from torilat.lattice import degenerate_lattice, hilbert_of_lattice
+from torilat.torus import (
+    PointSet,
+    TorusPoint,
+    _diagonal_orders,
+    point_from_canon,
+    point_from_rep,
+)
 
 
 def det(U):
@@ -447,3 +465,54 @@ def monomials_by_full_search(alpha_free, setup, allowed, find_one=False):
     if budget >= 0:
         rec(0, target, budget)
     return out, nodes
+
+
+# injectivity on degenerate tori ---------------------------------------
+
+
+def injectivity_by_lattice(a, h, alpha, setup):
+    """Evaluation at the degenerate torus is injective on S_alpha iff no
+    two distinct degree-alpha monomials agree modulo its vanishing
+    lattice D(L_{beta D}): a coset count of the degenerate lattice."""
+    L = degenerate_lattice(a, h, setup).L
+    return hilbert_of_lattice(L, alpha, setup) == len(monomial_basis(alpha, setup))
+
+
+def degree_leq(alpha, alpha2, setup):
+    """alpha <= alpha2 iff alpha2 - alpha lies in the degree semigroup,
+    i.e. some monomial has degree alpha2 - alpha."""
+    setup._require_degrees("semigroup comparison", alpha, alpha2)
+    diff = [y - x for x, y in zip(alpha.free, alpha2.free)]
+    return bool(_enumerate_solutions(diff, setup, range(setup.r), find_one=True))
+
+
+def injectivity_check(a, h, alpha, setup):
+    """Whether alpha <= d_1 beta_1 + ... + d_r beta_r.
+
+    This is the published degree bound for injectivity of evaluation on
+    the degenerate torus, but it is NOT sufficient when the degrees
+    beta_i have mixed-sign coordinates: alpha can sit below the bound
+    and above a generator degree of the vanishing ideal at the same
+    time.  `torilat.codes.injectivity_exact` decides injectivity.
+    """
+    d = _diagonal_orders(a, h, setup)
+    return degree_leq(alpha, degree_of(d, setup), setup)
+
+
+def injectivity_certified(a, h, alpha, setup):
+    """Provable sufficient condition for injective evaluation.
+
+    If two distinct degree-alpha monomials are congruent modulo the
+    degenerate-torus lattice D(L_{beta D}), their difference Dm gives
+    alpha >= beta(D m+) >= d_i beta_i for any i in the support of m+.
+    Hence when no d_i beta_i precedes alpha, evaluation is injective.
+    """
+    d = _diagonal_orders(a, h, setup)
+    return all(
+        not degree_leq(
+            degree_of([d[j] if i == j else 0 for i in range(setup.r)], setup),
+            alpha,
+            setup,
+        )
+        for j in range(setup.r)
+    )

@@ -16,8 +16,9 @@ from conftest import (
     random_homogeneous_lattice,
     rows_to_lattice,
 )
+from oracles import degree_leq, injectivity_certified
 from torilat import intlin
-from torilat.codes import degree_leq, hilbert_function, hilbert_table
+from torilat.codes import hilbert_function, hilbert_table, injectivity_exact
 from torilat.grading import Degree, degree_of, monomial_basis
 from torilat.lattice import (
     degenerate_lattice,
@@ -238,8 +239,6 @@ def test_criterion_09_injectivity():
     # (a = (2,10,7,4), h = 2, alpha = (-2,2)).  The anchor case below is
     # kept verbatim; the random sweep additionally requires the provable
     # sufficient condition (no d_i beta_i precedes alpha).
-    from torilat.codes import injectivity_certified, injectivity_exact
-
     st = make_h2()
     Y10, _ = degenerate_torus([5, 2, 5, 4], 10, st)
     alpha = Degree(free=(1, 0))

@@ -11,16 +11,14 @@ from hypothesis import strategies as hst
 
 import oracles
 from conftest import load_json, make_h2
-from test_torus import draw_subgroup, setups
+from oracles import degree_leq, injectivity_certified, injectivity_check
+from test_torus import draw_subgroup, setup_for, setups
 from torilat import cli, codes
 from torilat.codes import (
     code_parameters,
-    degree_leq,
     evaluation_matrix,
     hilbert_function,
     hilbert_table,
-    injectivity_certified,
-    injectivity_check,
     injectivity_exact,
     minimum_distance,
     rank_mod_q,
@@ -231,8 +229,6 @@ class TestDegreeLeq:
         x1^2 x2^2 - x2 x4 (exponent difference (2,1,0,-1), which lies in
         the vanishing lattice) sits in I(Y)_alpha.  So the published
         degree bound does not certify injectivity."""
-        from torilat.codes import injectivity_certified, injectivity_exact
-
         a, h = [2, 10, 7, 4], 2
         alpha = Degree(free=(-2, 2))
         Y, _ = degenerate_torus(a, h, h2)
@@ -244,8 +240,6 @@ class TestDegreeLeq:
         assert not injectivity_certified(a, h, alpha, h2)
 
     def test_certified_condition_implies_exact(self, h2):
-        from torilat.codes import injectivity_certified, injectivity_exact
-
         rng = random.Random(47)
         from math import gcd
 
@@ -267,6 +261,7 @@ class TestDegreeLeq:
             lambda: degree_leq(good, bad, h2),
             lambda: injectivity_check([5, 2, 5, 4], 10, bad, h2),
             lambda: injectivity_certified([5, 2, 5, 4], 10, bad, h2),
+            lambda: injectivity_exact([5, 2, 5, 4], 10, bad, h2),
             lambda: in_semigroup_Khat(bad, h2),
             lambda: monomial_basis(bad, h2),
         ]
@@ -280,6 +275,30 @@ class TestDegreeLeq:
     def test_short_exponent_vector_rejected(self, h2, test):
         with pytest.raises(ValidationError):
             test([2, 5], 10, Degree(free=(1, 0)), h2)
+
+    def test_torsion_grading_rejected(self):
+        # the class group of these rays has Z/2 torsion: no monomial
+        # enumeration, so no decision
+        st = setup_from_rays([[1, 1], [1, -1], [-1, -1], [-1, 1]], 7)
+        with pytest.raises(ValidationError, match="torsion-free"):
+            injectivity_exact([1, 1, 1, 1], 6, Degree(free=(1, 1)), st)
+
+    @given(hst.sampled_from(["h2", "p3", "p113"]), hst.sampled_from([7, 11, 13]),
+           hst.data())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_matches_the_lattice_route(self, variety, q, data):
+        """The class count on Y_{A,H} decides as the coset count of the
+        degenerate lattice does, and the certified condition implies it;
+        degrees with a negative coordinate have no monomials."""
+        st = setup_for(variety, q)
+        h = data.draw(hst.sampled_from([d for d in range(1, q) if (q - 1) % d == 0]))
+        a = data.draw(hst.lists(hst.integers(-12, 12), min_size=st.r, max_size=st.r))
+        alpha = Degree(free=tuple(data.draw(
+            hst.lists(hst.integers(-2, 7), min_size=st.k, max_size=st.k))))
+        exact = injectivity_exact(a, h, alpha, st)
+        assert exact == oracles.injectivity_by_lattice(a, h, alpha, st)
+        if injectivity_certified(a, h, alpha, st):
+            assert exact
 
 
 class TestCodeParameters:
@@ -297,6 +316,16 @@ class TestCodeParameters:
     def test_repetition_like_degree_zero(self, h2, y10):
         cs = code_parameters(y10, degree_of([0, 0, 0, 0], h2), h2, compute_d=True)
         assert (cs.N, cs.k, cs.d) == (10, 1, 10)
+
+    def test_point_cap_met_before_the_power_table(self):
+        # the P^2 torus at q = 999983 has about 10^12 points: evaluation
+        # reads them and meets the cap before the power table is built
+        Y, st = projective_torus(3, 999983)
+        with pytest.raises(CapExceededError):
+            code_parameters(Y, Degree(free=(0,)), st, compute_d=True)
+        with pytest.raises(CapExceededError):
+            evaluation_matrix(Y, Degree(free=(1,)), st)
+        assert "_pow" not in vars(st.field)
 
     def test_zero_code(self, h2, y10):
         cs = code_parameters(y10, Degree(free=(-1, 0)), h2, compute_d=True)
