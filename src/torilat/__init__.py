@@ -33,7 +33,6 @@ from .intlin import (
 from .lattice import (
     Binomial,
     DegenerateLattice,
-    LatticeIdealPresentation,
     complete_intersection,
     degenerate_lattice,
     hilbert_of_lattice,

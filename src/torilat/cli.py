@@ -9,6 +9,7 @@ stderr.  Exit codes: 0 success, 2 validation error, 3 cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -112,10 +113,8 @@ def _point_set_from_task(task, setup):
     raise ValidationError("task needs one of 'a', 'lattice', 'generators'")
 
 
-def _presentation_doc(pres):
-    return [
-        {"m": list(b.m), "text": b.text()} for b in pres.binomials
-    ]
+def _binomials_doc(gens):
+    return [{"m": list(b.m), "text": b.text()} for b in gens]
 
 
 def cmd_parameterize(args, doc, setup):
@@ -140,14 +139,16 @@ def cmd_degenerate_lattice(args, doc, setup):
     h = task.get("h", setup.q - 1)
     res = lat.degenerate_lattice(list(task["a"]), h, setup)
     ci = lat.complete_intersection(res.L, setup)
+    # the basis columns of L are independent by construction: no rank check
+    gens = [lat.Binomial(m=intlin.sign_normalize(c)) for c in intlin.columns(res.L)]
     result = {
         "D": res.D,
         "lattice": intlin.transpose(res.L),
-        "generators": _presentation_doc(res.gens),
+        "generators": _binomials_doc(gens),
         "complete_intersection": ci,
     }
     summary = (
-        f"D = diag{tuple(res.D)}; I(Y) = <{', '.join(res.gens.texts())}>; "
+        f"D = diag{tuple(res.D)}; I(Y) = <{', '.join(b.text() for b in gens)}>; "
         f"complete intersection: {ci}"
     )
     return result, summary
@@ -171,9 +172,9 @@ def cmd_ci_check(args, doc, setup):
 
 
 def cmd_torus_ideal(args, doc, setup):
-    pres = lat.torus_ideal(setup)
-    result = {"generators": _presentation_doc(pres)}
-    return result, f"I(T_X) = <{', '.join(pres.texts())}>"
+    gens = lat.torus_ideal(setup)
+    result = {"generators": _binomials_doc(gens)}
+    return result, f"I(T_X) = <{', '.join(b.text() for b in gens)}>"
 
 
 def cmd_subgroup_info(args, doc, setup):
@@ -256,6 +257,9 @@ COMMANDS = {
 }
 
 
+# built once per process: argparse makes a help formatter per argument,
+# which costs more than a small command; main only parses with it
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="torilat",

@@ -35,7 +35,8 @@ class ToricSetup:
     beta (free rows plus torsion residue rows), prime field size q,
     optional maximal cones.
 
-    Instances are immutable after construction.
+    Instances are not changed after construction, and what a setup caches
+    is handed out as a fresh list: changing one changes no later answer.
     """
 
     def __init__(self, phi, beta_free, torsion, q, max_cones=None,
@@ -55,8 +56,8 @@ class ToricSetup:
         self._validate()
         self._right_inverse = None
         self._functional = "unset"
-        # (degree, monomials) of the last enumeration: a Hilbert value by
-        # rank and by coset count at one degree enumerate it once
+        # (degree, tuple of monomials) of the last enumeration: a Hilbert
+        # value by rank and by coset count at one degree enumerate it once
         self._monomial_cache = (None, None)
 
     def _validate(self):
@@ -135,8 +136,8 @@ class ToricSetup:
             pad = [0] * (self.r - self.n)
             if H != [row + pad for row in intlin.identity(self.n)]:
                 raise InternalError("phi^T is not surjective over Z")
-            self._right_inverse = [row[:self.n] for row in W]
-        return self._right_inverse
+            self._right_inverse = tuple(tuple(row[:self.n]) for row in W)
+        return [list(row) for row in self._right_inverse]
 
     def __repr__(self):
         return (
@@ -268,7 +269,8 @@ def positive_functional(setup: ToricSetup):
     """Integer w with w . deg(x_j) > 0 for all j, or None if the degree
     semigroup is not pointed.  Computed on the free part of the grading."""
     if setup._functional != "unset":
-        return setup._functional
+        w = setup._functional
+        return None if w is None else list(w)
     if setup.k == 0:
         setup._functional = None
         return None
@@ -286,7 +288,7 @@ def positive_functional(setup: ToricSetup):
         for j in range(setup.r)
     ):
         raise InternalError("positive functional verification failed")
-    setup._functional = wi
+    setup._functional = tuple(wi)
     return wi
 
 
@@ -416,9 +418,9 @@ def monomial_basis(alpha: Degree, setup: ToricSetup):
     setup._require_degrees("monomial enumeration", alpha)
     key, cached = setup._monomial_cache
     if key != alpha.free:
-        cached = _enumerate_solutions(alpha.free, setup, range(setup.r))
+        cached = tuple(_enumerate_solutions(alpha.free, setup, range(setup.r)))
         setup._monomial_cache = (alpha.free, cached)
-    return cached
+    return list(cached)
 
 
 def in_semigroup_Khat(alpha: Degree, setup: ToricSetup) -> bool:

@@ -1,9 +1,11 @@
 """Lattice-ideal computations.
 
-Binomial generators, vanishing-ideal lattices of degenerate tori,
-complete-intersection decisions, torus and point ideals, and a
-coset-counting Hilbert function.  The parameterization of torus zero
-sets lives in `torus` and is re-exported here.
+Vanishing-ideal lattices of degenerate tori, complete-intersection
+decisions, binomial generators, torus and point ideals, and a
+coset-counting Hilbert function.  A lattice L is the data: the ideal
+builders return a tuple of `Binomial`, one per basis column, which
+`Binomial.text()` renders.  The parameterization of torus zero sets
+lives in `torus` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -57,20 +59,7 @@ class Binomial:
         return f"{head} - {self.scale}*{tail}"
 
 
-@dataclass(frozen=True)
-class LatticeIdealPresentation:
-    """One binomial per basis column of a lattice L."""
-
-    binomials: tuple
-
-    def __iter__(self):
-        return iter(self.binomials)
-
-    def texts(self):
-        return [b.text() for b in self.binomials]
-
-
-def lattice_ideal_generators(L) -> LatticeIdealPresentation:
+def lattice_ideal_generators(L) -> tuple:
     """Binomials F_m for the basis columns m of L, sign-normalized.
 
     On the torus these basis binomials cut out V_X(I_L) exactly; the
@@ -80,24 +69,22 @@ def lattice_ideal_generators(L) -> LatticeIdealPresentation:
     _, ell = intlin.shape(L)
     if ell and intlin.snf(L).rank != ell:
         raise ValidationError("lattice basis columns are dependent")
-    cols = [intlin.sign_normalize(c) for c in intlin.columns(L)]
-    return LatticeIdealPresentation(binomials=tuple(Binomial(m=c) for c in cols))
+    return tuple(Binomial(m=intlin.sign_normalize(c)) for c in intlin.columns(L))
 
 
 @dataclass(frozen=True)
 class DegenerateLattice:
     D: list  # the diagonal entries d_1..d_r
     L: list  # r x ell basis matrix of D(L_{beta D})
-    gens: LatticeIdealPresentation
 
 
 def degenerate_lattice(a, h, setup: ToricSetup) -> DegenerateLattice:
     """Lattice of the vanishing ideal of the degenerate torus with
     diagonal exponents a over the order-h subgroup of F_q*.
 
-    d_i = h/gcd(h, a_i); L = D * (canonical basis of ker_Z(beta D)); the
-    generators are the toric-kernel binomials with x_i replaced by
-    x_i^{d_i}.
+    d_i = h/gcd(h, a_i); L = D * (canonical basis of ker_Z(beta D)), so
+    the basis binomials of L are the toric-kernel binomials with x_i
+    replaced by x_i^{d_i}.
     """
     setup._require_torsion_free("degenerate-torus lattices")
     d = _diagonal_orders(a, h, setup)
@@ -111,7 +98,7 @@ def degenerate_lattice(a, h, setup: ToricSetup) -> DegenerateLattice:
         [d[i] * c[i] for i in range(setup.r)] for c in intlin.columns(gamma0)
     ]
     L = intlin.from_columns(Lcols, setup.r)
-    return DegenerateLattice(D=d, L=L, gens=lattice_ideal_generators(L))
+    return DegenerateLattice(D=d, L=L)
 
 
 def is_mixed(gamma) -> bool:
@@ -177,7 +164,7 @@ def complete_intersection(L, setup: ToricSetup) -> bool:
     return is_mixed(gamma) and is_dominating(gamma)
 
 
-def torus_ideal(setup: ToricSetup) -> LatticeIdealPresentation:
+def torus_ideal(setup: ToricSetup) -> tuple:
     """Generators of I(T_X): the basis binomials of (q-1) L_beta, taken
     on the columns of phi."""
     qm = setup.q - 1
@@ -185,7 +172,7 @@ def torus_ideal(setup: ToricSetup) -> LatticeIdealPresentation:
     return lattice_ideal_generators(intlin.from_columns(cols, setup.r))
 
 
-def point_ideal(P: TorusPoint, setup: ToricSetup):
+def point_ideal(P: TorusPoint, setup: ToricSetup) -> tuple:
     """Shifted binomials generating I([P]): one per basis column m of
     L_beta, with scale x^m(P).
 
@@ -194,11 +181,10 @@ def point_ideal(P: TorusPoint, setup: ToricSetup):
     """
     setup._require_torsion_free("point ideals")
     f = setup.field
-    out = []
-    for i, col in enumerate(intlin.columns(setup.phi)):
-        scale = f.eta_pow(P.canon[i])
-        out.append(Binomial(m=tuple(col), scale=scale))
-    return out
+    return tuple(
+        Binomial(m=tuple(col), scale=f.eta_pow(P.canon[i]))
+        for i, col in enumerate(intlin.columns(setup.phi))
+    )
 
 
 def hilbert_of_lattice(L, alpha: Degree, setup: ToricSetup) -> int:

@@ -39,9 +39,9 @@ class TorusPoint:
 class PointSet:
     """Deduplicated set of torus points, stored as two int64 arrays in
     canonical order: `canon` (N x n canonical forms) and `reps` (N x r, one
-    exponent representative per point).  A subgroup from `_subgroup` holds
-    its n x n Hermite basis B and one representative per column of B
-    instead, and fills the arrays on first read."""
+    exponent representative per point), both read-only.  A subgroup from
+    `_subgroup` holds its n x n Hermite basis B and one representative
+    per column of B instead, and fills the arrays on first read."""
 
     def __init__(self, points):
         self.basis = None
@@ -50,7 +50,7 @@ class PointSet:
         canon, first = np.unique(
             _int_rows([p.canon for p in pts]), axis=0, return_index=True
         )
-        self._arrays = canon, _int_rows([p.rep for p in pts])[first]
+        self._arrays = _read_only(canon, _int_rows([p.rep for p in pts])[first])
 
     @classmethod
     def _from_lattice(cls, basis, basis_reps, qm, r):
@@ -83,7 +83,7 @@ class PointSet:
             rep = ((rep + x * np.array(col_rep, dtype=np.int64)) % qm).reshape(-1, r)
         # lexsort needs at least one key; with n = 0 there is one point
         order = np.lexsort(canon.T[::-1]) if n else slice(None)
-        return canon[order], rep[order]
+        return _read_only(canon[order], rep[order])
 
     canon = property(lambda self: self._arrays[0])
     reps = property(lambda self: self._arrays[1])
@@ -147,6 +147,12 @@ class PointSet:
 def _int_rows(rows):
     """int64 array with one row per vector; 0 x 0 when there are none."""
     return np.array(rows, dtype=np.int64) if rows else np.zeros((0, 0), np.int64)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def canonical_form(s, setup: ToricSetup):

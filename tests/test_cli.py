@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA, load_json
-from torilat import grading
+from torilat import grading, lattice
 from torilat.cli import COMMANDS, main
 
 
@@ -72,6 +72,17 @@ class TestDegenerateLattice:
         ]
         assert doc["complete_intersection"] is True
         assert "complete intersection: True" in err
+
+    def test_generators_need_no_rank_check(self, capsys, monkeypatch):
+        path = problem_path("h2_a2455.json")
+        before = run(capsys, "degenerate-lattice", path)
+        assert before[0] == 0
+
+        def refuse(L):
+            raise AssertionError("lattice_ideal_generators was called")
+
+        monkeypatch.setattr(lattice, "lattice_ideal_generators", refuse)
+        assert run(capsys, "degenerate-lattice", path) == before
 
 
 class TestCiCheck:

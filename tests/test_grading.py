@@ -11,6 +11,7 @@ from hypothesis import strategies as hst
 import oracles
 from conftest import make_h2, make_p113, rows_to_lattice
 from torilat import grading, intlin
+from torilat.codes import hilbert_function
 from torilat.errors import CapExceededError, InternalError, ValidationError
 from torilat.grading import (
     Degree,
@@ -23,6 +24,7 @@ from torilat.grading import (
     setup_from_beta,
     setup_from_rays,
 )
+from torilat.torus import degenerate_torus, group_structure
 
 
 def brute_force_monomials(setup, alpha, bound):
@@ -360,3 +362,32 @@ class TestRightInverse:
         # onto an index-2 sublattice, and the set-up check refuses it
         with pytest.raises(ValidationError, match=r"ker\(beta\) != im\(phi\)"):
             ToricSetup([[1, 1], [1, -1]], [], [], 7)
+
+
+class TestCachedValuesAreCopies:
+    """A setup hands out copies of what it caches: changing a returned
+    list changes no later answer (the session fixtures share setups)."""
+
+    def test_monomial_basis(self):
+        st = make_h2()
+        Y, _ = degenerate_torus([2, 5, 4, 5], 10, st)
+        alpha = Degree(free=(1, 1))
+        k = hilbert_function(Y, alpha, st)
+        monomial_basis(alpha, st).clear()
+        assert hilbert_function(Y, alpha, st) == k > 0
+
+    def test_positive_functional(self):
+        alpha = Degree(free=(3, 3))
+        expected = monomial_basis(alpha, make_h2())
+        st = make_h2()
+        positive_functional(st)[0] = -5
+        assert monomial_basis(alpha, st) == expected != []
+
+    def test_right_inverse(self):
+        def structure(st):
+            return group_structure(degenerate_torus([2, 5, 4, 5], 10, st)[0], st)
+
+        expected = structure(make_h2())
+        st = make_h2()
+        st.right_inverse()[0][0] += 1
+        assert structure(st) == expected

@@ -96,12 +96,14 @@ class TestDegenerateLattice:
         assert res.D == [5, 2, 5, 2]
         published = rows_to_lattice([[-5, 0, 5, 0], [20, 10, 0, -10]], 4)
         assert intlin.lattice_equal(res.L, published)
-        assert res.gens.texts() == ["x1^5 - x3^5", "x1^20*x2^10 - x4^10"]
+        assert [b.text() for b in lattice_ideal_generators(res.L)] == [
+            "x1^5 - x3^5", "x1^20*x2^10 - x4^10"]
 
     def test_a5254(self, h2):
         res = degenerate_lattice([5, 2, 5, 4], 10, h2)
         assert res.D == [2, 5, 2, 5]
-        assert res.gens.texts() == ["x1^2 - x3^2", "x1^10*x2^5 - x4^5"]
+        assert [b.text() for b in lattice_ideal_generators(res.L)] == [
+            "x1^2 - x3^2", "x1^10*x2^5 - x4^5"]
 
     def test_generators_vanish_on_the_torus_points(self, h2):
         from torilat.torus import degenerate_torus
@@ -109,8 +111,19 @@ class TestDegenerateLattice:
         for a in ([2, 5, 4, 5], [5, 2, 5, 4]):
             res = degenerate_lattice(a, 10, h2)
             Y, _ = degenerate_torus(a, 10, h2)
-            for b in res.gens:
+            for b in lattice_ideal_generators(res.L):
                 assert all(oracles.binomial_value(b, p, h2) == 0 for p in Y)
+
+    def test_builds_no_binomials(self, h2, monkeypatch):
+        # L is the answer; its binomials are built only where they are used
+        cases = [([2, 5, 4, 5], 10), ([5, 2, 5, 4], 10), ([1, 1, 1, 1], 1)]
+        before = [degenerate_lattice(a, h, h2) for a, h in cases]
+
+        def refuse(L):
+            raise AssertionError("degenerate_lattice built the binomials")
+
+        monkeypatch.setattr(lattice, "lattice_ideal_generators", refuse)
+        assert [degenerate_lattice(a, h, h2) for a, h in cases] == before
 
     def test_trivial_subgroup(self, h2):
         # h = 1 collapses to the identity point: L = L_beta itself
@@ -123,7 +136,8 @@ class TestDegenerateLattice:
         st = ToricSetup([[1, 0], [0, 1]], [], [], 7)
         res = degenerate_lattice([1, 1], 6, st)
         assert res.L == [[0, 6], [6, 0]]
-        assert res.gens.texts() == ["x2^6 - 1", "x1^6 - 1"]
+        assert [b.text() for b in lattice_ideal_generators(res.L)] == [
+            "x2^6 - 1", "x1^6 - 1"]
         Y, _ = degenerate_torus([1, 1], 6, st)
         assert intlin.lattice_equal(res.L, vanishing_lattice(Y, st))
 
@@ -205,7 +219,7 @@ class TestTorusIdeal:
     @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
     def test_generator_shapes(self, q, ell):
         st = make_h2(q=q, ell=ell)
-        texts = torus_ideal(st).texts()
+        texts = [b.text() for b in torus_ideal(st)]
         e = q - 1
         assert texts == [
             f"x1^{e} - x3^{e}",
@@ -279,6 +293,13 @@ class TestGenerators:
         with pytest.raises(ValidationError):
             lattice_ideal_generators(L)
 
+    def test_builders_return_tuples_of_binomials(self, h2):
+        P = point_from_rep([1, 2, 3, 4], h2)
+        for gens in (lattice_ideal_generators(h2.phi), torus_ideal(h2),
+                     point_ideal(P, h2)):
+            assert type(gens) is tuple and len(gens) == 2
+            assert all(type(b) is Binomial for b in gens)
+
     def test_sign_normalized_output(self):
-        pres = lattice_ideal_generators([[-2], [0], [2], [0]])
-        assert pres.texts() == ["x1^2 - x3^2"]
+        gens = lattice_ideal_generators([[-2], [0], [2], [0]])
+        assert [b.text() for b in gens] == ["x1^2 - x3^2"]

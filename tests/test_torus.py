@@ -12,7 +12,7 @@ from hypothesis import strategies as hst
 import oracles
 from conftest import make_h2, make_p113, random_homogeneous_lattice, rows_to_lattice
 from torilat import codes, intlin, torus
-from torilat.grading import degree_of, setup_from_beta, setup_from_rays
+from torilat.grading import Degree, degree_of, setup_from_beta, setup_from_rays
 from torilat.errors import CapExceededError, InternalError, ValidationError
 from torilat.torus import (
     PointSet,
@@ -561,6 +561,20 @@ class TestPointSetFromPoints:
         T = all_torus_points(empty_fan)
         assert len(T) == 1
         assert oracles.identity_point(empty_fan) in T
+
+
+class TestArraysAreReadOnly:
+    @pytest.mark.parametrize("listed", [False, True])
+    def test_points_cannot_be_overwritten(self, listed):
+        st = make_h2()
+        Y, _ = degenerate_torus([2, 5, 4, 5], 10, st)
+        if listed:
+            Y = PointSet(list(Y))
+        alpha = Degree(free=(1, 1))
+        for name in ("canon", "reps"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(Y, name)[:] = 0
+        assert codes.code_parameters(Y, alpha, st, compute_d=True).d == 20
 
 
 class TestTorsion:
