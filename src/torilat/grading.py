@@ -10,14 +10,17 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
+from operator import mul
 
 from . import intlin
 from .errors import CapExceededError, InternalError, ValidationError
 from .gfield import PrimeField
 
-# Nodes a search of every value of every exponent may visit; the solved
-# exponents count theirs in closed form.  Degree (30, 30) on H_2 needs 3.54 M.
+# Nodes a search of every value of every exponent would visit, counted
+# in closed form before the monomials are listed.  Degree (30, 30) on H_2
+# needs 3.54 M.
 MONOMIAL_SEARCH_CAP = 5 * 10**6
 
 
@@ -310,105 +313,279 @@ def _floor_sum(n, m, a, c):
         m, a = a, m
 
 
+# Node counts of the full search ---------------------------------------
+#
+# The cap bounds the nodes of a search that tries every value of every
+# allowed exponent in turn: a node of level i and budget c (what is left
+# of the weight w . alpha) has c // w_i + 1 children, the root counts
+# one, and with find_one the search stops at its first solution.  These
+# counts depend on the weights alone, so they are taken before (or, with
+# find_one, beside) the enumeration, which visits far fewer nodes.
+
+
+def _check_nodes(nodes):
+    if nodes > MONOMIAL_SEARCH_CAP:
+        raise CapExceededError(f"monomial search passed {MONOMIAL_SEARCH_CAP} nodes")
+
+
+def _children(s, c, w, w2):
+    """Sum of (c - v w) // w2 + 1 over 0 <= v < s, for (s - 1) w <= c:
+    the children of the first s children of a node of budget c whose
+    exponent has weight w, the next one weight w2."""
+    return _floor_sum(s, w2, w, c - (s - 1) * w) + s if s else 0
+
+
+def _head(ws, i, c):
+    """Nodes on the first two levels below a level-i node of budget c:
+    all of them when i >= m - 2, else a lower bound."""
+    top = c // ws[i]
+    if i + 1 == len(ws):
+        return top + 1
+    return top + 1 + _children(top + 1, c, ws[i], ws[i + 1])
+
+
+def _count_table(ws, top):
+    """T[i][c] for 0 <= i <= m and 0 <= c <= top: the nodes below a
+    level-i node of budget c.  Its children v = 0, 1, ... give
+    T_i(c) = 1 + T_{i+1}(c) + T_i(c - w_i), and T_m = 0."""
+    table = [[0] * (top + 1)]
+    for w in reversed(ws):
+        row = [x + 1 for x in table[-1]]
+        for c in range(w, top + 1):
+            row[c] += row[c - w]
+        table.append(row)
+    return table[::-1]
+
+
+def _full_count(ws, budget):
+    """Nodes of the whole search from a root of budget >= 0: 1 + T_0(b).
+    The first two levels are summed in closed form, which is all of it
+    for m <= 2; the tables are built only when these stay within the
+    cap, so a degree that trips it builds none."""
+    if not ws:
+        return 1
+    nodes = 1 + _head(ws, 0, budget)
+    if len(ws) <= 2 or nodes > MONOMIAL_SEARCH_CAP:
+        return nodes
+    return 1 + _count_table(ws, budget)[0][budget]
+
+
+def _first_count(ws, budget, s):
+    """Nodes of the search with find_one, whose first solution has the
+    exponents s at the allowed columns: with c_i the budget left at
+    level i, 1 + sum_i (c_i // w_i + 1) + T_i(c_i) - T_i(c_i - s_i w_i)
+    - s_i, the children of each node on the path and the subtrees of
+    the children it passes.  Those of levels m - 1 and m - 2 are summed
+    in closed form; deeper ones read the tables, built only when the
+    first two levels of each stay within the cap."""
+    m = len(ws)
+    path = []
+    for w, v in zip(ws, s):
+        path.append((budget, v))
+        budget -= v * w
+    nodes = 1 + sum(c // w + 1 for (c, _), w in zip(path, ws))
+    if m >= 2:
+        c, v = path[m - 2]
+        nodes += _children(v, c, ws[m - 2], ws[m - 1])
+    deep = [i for i in range(m - 2) if path[i][1]]
+    if not deep:
+        return nodes
+    lower = nodes + sum(_head(ws, i + 1, path[i][0]) for i in deep)
+    if lower > MONOMIAL_SEARCH_CAP:
+        return lower
+    T = _count_table(ws, path[deep[0]][0])
+    return nodes + sum(T[i][c] - T[i][c - v * ws[i]] - v
+                       for i in deep for c, v in [path[i]])
+
+
+# Enumeration ------------------------------------------------------------
+
+
+def _solved_block(cols, allowed, k):
+    """(size, D, adj, checks) for the trailing exponents solved by
+    Cramer's rule: the last two allowed when their columns have a
+    nonzero 2x2 minor (on the first rows i1 < i2 that give one), else
+    the last alone, from its first nonzero row.  For the remainder y,
+    exponent l of the block is adj[l] . y / D with D > 0, and y is
+    reached exactly when also checks . y = 0 for every row of checks
+    (one per other row of beta on which the block is not automatic)."""
+    block = [cols[j] for j in allowed[-2:]]
+    pair = len(block) == 2 and next(
+        ((i1, i2) for i1 in range(k) for i2 in range(i1 + 1, k)
+         if block[0][i1] * block[1][i2] != block[0][i2] * block[1][i1]),
+        None)
+    adj = []
+    if pair:
+        (i1, i2), (u, v) = pair, block
+        D = u[i1] * v[i2] - u[i2] * v[i1]
+        for col, sign in ((v, 1), (u, -1)):
+            row = [0] * k
+            row[i1], row[i2] = sign * col[i2], -sign * col[i1]
+            adj.append(row)
+    else:
+        block = block[-1:]
+        p = next(i for i, b in enumerate(block[0]) if b)
+        D = block[0][p]
+        adj.append([int(i == p) for i in range(k)])
+    if D < 0:
+        D, adj = -D, [[-x for x in row] for row in adj]
+    # D y_i = sum_l (adj[l] . y) block[l][i] holds on the minor's rows
+    checks = [[D * (h == i) - sum(col[i] * row[h] for col, row in zip(block, adj))
+               for h in range(k)] for i in range(k)]
+    return len(block), D, adj, [row for row in checks if any(row)]
+
+
+def _progression(P, Q, D):
+    """(t0, e) with {t : t Q_l = P_l mod D for every l} = t0 + eZ, or
+    None when no t solves them."""
+    t0, e = 0, 1
+    for p, q in zip(P, Q):
+        # t = t0 + e s: solve (e q) s = p - t0 q mod D for s
+        a, b = e * q % D, (p - t0 * q) % D
+        g = gcd(a, D)
+        if b % g:
+            return None
+        step = D // g
+        t0 += e * (b // g * pow(a // g, -1, step) % step)
+        e *= step
+    return t0, e
+
+
 def _enumerate_solutions(alpha_free, setup, allowed, find_one=False):
     """All a in N^r supported on `allowed` with beta_free . a = alpha_free,
-    in ascending lexicographic order.  Requires a pointed grading.
+    in ascending lexicographic order; with find_one, the first of them
+    alone.  Requires a pointed grading.
 
-    The last allowed exponent is solved from one row of the remainder
-    rather than searched.  When the columns of the last two are
-    independent (some 2x2 minor on rows i1, i2 is nonzero, so k >= 2),
-    both are solved by Cramer's rule at the level before, which then
-    holds at most one solution.  Node counts are those of a search of
-    every value of every exponent: a solved level still counts top + 1
-    nodes, and a solved pair counts its children and their children in
-    closed form, so the cap trips where the full search would."""
+    The trailing exponents are solved by Cramer's rule (`_solved_block`):
+    the last two when their columns are independent, else the last.  The
+    search walks the exponents before the one just ahead of that block,
+    t.  The block's solution is affine in t, so the t that reach the
+    degree form an arithmetic progression in an interval: integrality is
+    a congruence modulo D, nonnegativity gives the interval, and any
+    other row of beta fixes t or rules it out.  Each such t gives one
+    monomial.
+
+    The cap bounds the nodes of the search of every value of every
+    exponent; the count is taken in closed form and raises
+    CapExceededError before the search.  With find_one it depends on the
+    first solution, so it is taken after it, and the walk stops as soon
+    as the children of the nodes it enters pass the cap."""
     w = positive_functional(setup)
     if w is None:
         raise ValidationError(
             "grading is not pointed; monomial enumeration needs an explicit cap"
         )
+    k, r = setup.k, setup.r
     weights = [
-        sum(w[i] * setup.beta_free[i][j] for i in range(setup.k))
-        for j in range(setup.r)
+        sum(w[i] * setup.beta_free[i][j] for i in range(k)) for j in range(r)
     ]
-    cols = [[row[j] for row in setup.beta_free] for j in range(setup.r)]
-    # a row with beta_ij != 0 exists for every j, since w . beta_j > 0
-    pivots = [next(i for i, b in enumerate(col) if b) for col in cols]
+    cols = [[row[j] for row in setup.beta_free] for j in range(r)]
+    allowed = sorted(allowed)
+    ws = [weights[j] for j in allowed]
     target = list(alpha_free)
     budget = sum(wi * ai for wi, ai in zip(w, target))
+    if budget < 0:
+        return []
+    if not find_one:
+        _check_nodes(_full_count(ws, budget))
+    if not allowed:
+        return [] if any(target) else [(0,) * r]
+
+    size, D, adj, checks = _solved_block(cols, allowed, k)
+    block = allowed[-size:]
+    lead = len(allowed) - size - 1  # the level of t; -1: none, the root solves
+    jt = allowed[lead] if lead >= 0 else -1
+    ct = cols[jt] if lead >= 0 else [0] * k
+    Q = [sum(map(mul, row, ct)) for row in adj]
+    checks = [(row, sum(map(mul, row, ct))) for row in checks]
+    # the zeros after t (from the start when there is none), between the
+    # block columns and after them
+    ends = [jt + 1, *(j + 1 for j in block)]
+    gaps = [(0,) * (j - i) for i, j in zip(ends, [*block, r])]
+    a = [0] * r
     out = []
-    a = [0] * setup.r
-    allowed = sorted(allowed)
-    last = len(allowed) - 1
-    pair = None  # (i1, i2, minor) for the last two allowed columns
-    if last >= 1:
-        cp, cl = cols[allowed[last - 1]], cols[allowed[last]]
-        pair = next(
-            ((i1, i2, cp[i1] * cl[i2] - cp[i2] * cl[i1])
-             for i1 in range(setup.k) for i2 in range(i1 + 1, setup.k)
-             if cp[i1] * cl[i2] != cp[i2] * cl[i1]),
-            None,
-        )
-    nodes = 1
+    entered = 1  # with find_one: the children of every node entered so far
 
-    def count(more):
-        nonlocal nodes
-        nodes += more
-        if nodes > MONOMIAL_SEARCH_CAP:
-            raise CapExceededError(
-                f"monomial search passed {MONOMIAL_SEARCH_CAP} nodes")
+    def enter(top):
+        nonlocal entered
+        entered += top + 1
+        _check_nodes(entered)
 
-    def rec(pos, rem, bud):
-        if pos > last:  # nothing is allowed
-            if not any(rem):
-                out.append(tuple(a))
+    def solve(rem, bud):
+        """The monomials of the node of t (the root when there is none)."""
+        top = bud // ws[max(lead, 0)]
+        if find_one:
+            enter(top)
+        lo, hi = 0, top if lead >= 0 else 0
+        P = [sum(map(mul, row, rem)) for row in adj]
+        for p, q in zip(P, Q):  # exponent l of the block is (p - t q) / D
+            if q > 0:
+                hi = min(hi, p // q)
+            elif q < 0:
+                lo = max(lo, -(p // -q))
+            elif p < 0:
+                return
+        for row, q in checks:  # (row . rem) - t q must vanish
+            p = sum(map(mul, row, rem))
+            if q:
+                t, rest = divmod(p, q)
+                if rest:
+                    return
+                lo, hi = max(lo, t), min(hi, t)
+            elif p:
+                return
+        if lo > hi:
             return
-        j = allowed[pos]
-        top = bud // weights[j]
-        col = cols[j]
-        if pair and pos == last - 1:
-            i1, i2, minor = pair
-            l = allowed[last]
-            cl = cols[l]
-            u, ru = divmod(rem[i1] * cl[i2] - rem[i2] * cl[i1], minor)
-            v, rv = divmod(col[i1] * rem[i2] - col[i2] * rem[i1], minor)
-            hit = ru == rv == 0 and u >= 0 and v >= 0 and all(
-                x == u * b + v * c for x, b, c in zip(rem, col, cl)
-            )
-            # the full search tries a_j = t for t = 0..top and, under each
-            # t <= end, a_l = 0..(bud - t w_j) // w_l; with find_one it stops
-            # after the child that succeeds.  A hit has u w_j + v w_l = bud,
-            # so u <= top.
-            end = u if hit and find_one else top
-            count(top + end + 2 + _floor_sum(
-                end + 1, weights[l], weights[j], bud - end * weights[j]))
-            if hit:
-                a[j], a[l] = u, v
-                out.append(tuple(a))
-                a[j] = a[l] = 0
+        found = _progression(P, Q, D) if D > 1 else (0, 1)
+        if found is None:
             return
-        count(top + 1)  # the children, counted once by their parent
-        if pos == last:
-            v, r = divmod(rem[pivots[j]], col[pivots[j]])
-            if r == 0 and 0 <= v <= top and all(
-                x == v * b for x, b in zip(rem, col)
-            ):
-                a[j] = v
-                out.append(tuple(a))
-                a[j] = 0
+        t0, e = found
+        first = lo + (t0 - lo) % e
+        if first > hi:
             return
+        if find_one:
+            hi = first
+        if lead < 0:  # t = 0 alone, and Q = 0
+            x = [p // D for p in P]
+            out.append((*gaps[0], x[0], *gaps[1]) if size == 1 else
+                       (*gaps[0], x[0], *gaps[1], x[1], *gaps[2]))
+            return
+        ts = range(first, hi + 1, e)
+        xs = [count((p - first * q) // D, -e * q // D) for p, q in zip(P, Q)]
+        head = tuple(a[:jt])
+        if size == 1:
+            g1, g2 = gaps
+            out.extend([(*head, t, *g1, x, *g2) for t, x in zip(ts, *xs)])
+        else:
+            g1, g2, g3 = gaps
+            out.extend([(*head, t, *g1, x, *g2, y, *g3)
+                        for t, x, y in zip(ts, *xs)])
+
+    def walk(pos, rem, bud):
+        if pos == lead:
+            solve(rem, bud)
+            return
+        j, wj, col = allowed[pos], ws[pos], cols[allowed[pos]]
+        top = bud // wj
+        if find_one:
+            enter(top)
         rem = list(rem)
         for v in range(top + 1):
             a[j] = v
-            rec(pos + 1, rem, bud - v * weights[j])
+            walk(pos + 1, rem, bud - v * wj)
             if find_one and out:
                 break
             for i, b in enumerate(col):
                 rem[i] -= b
         a[j] = 0
 
-    if budget >= 0:
-        rec(0, target, budget)
+    if lead < 0:
+        solve(target, budget)
+    else:
+        walk(0, target, budget)
+    if find_one:
+        _check_nodes(_first_count(ws, budget, [out[0][j] for j in allowed])
+                     if out else _full_count(ws, budget))
     return out
 
 

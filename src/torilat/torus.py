@@ -40,8 +40,9 @@ class PointSet:
     """Deduplicated set of torus points, stored as two int64 arrays in
     canonical order: `canon` (N x n canonical forms) and `reps` (N x r, one
     exponent representative per point), both read-only.  A subgroup from
-    `_subgroup` holds its n x n Hermite basis B and one representative
-    per column of B instead, and fills the arrays on first read."""
+    `_subgroup` holds its n x n Hermite basis B (`basis`) and one
+    representative per column of B (`basis_reps`) instead, both tuples of
+    tuples, and fills the arrays on first read."""
 
     def __init__(self, points):
         self.basis = None
@@ -201,11 +202,11 @@ def _subgroup(reps, setup: ToricSetup) -> PointSet:
     cols += [[qm if i == j else 0 for i in range(n)] for j in range(n)]
     reps += [[0] * r] * n
     H, W = intlin.column_hnf(intlin.from_columns(cols, n))
-    basis_reps = [
-        [sum(W[k][j] * s[i] for k, s in enumerate(reps)) % qm for i in range(r)]
+    basis_reps = tuple(
+        tuple(sum(W[k][j] * s[i] for k, s in enumerate(reps)) % qm for i in range(r))
         for j in range(n)
-    ]
-    return PointSet._from_lattice([row[:n] for row in H], basis_reps, qm, r)
+    )
+    return PointSet._from_lattice(tuple(tuple(row[:n]) for row in H), basis_reps, qm, r)
 
 
 def all_torus_points(setup: ToricSetup) -> PointSet:

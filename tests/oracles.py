@@ -419,12 +419,18 @@ def min_distance_by_messages(basis, q):
 # monomial enumeration -------------------------------------------------
 
 
-def monomials_by_full_search(alpha_free, setup, allowed, find_one=False):
+class _PastLimit(Exception):
+    pass
+
+
+def monomials_by_full_search(alpha_free, setup, allowed, find_one=False,
+                             limit=None):
     """(monomials, nodes): all a in N^r supported on `allowed` with
     beta_free . a = alpha_free in ascending lexicographic order, by a
     search over every value of every allowed exponent, and the number of
     search nodes it visits.  No cap: the library's cap is compared
-    against `nodes`."""
+    against `nodes`.  Given `limit`, the search stops as soon as its
+    count passes it, and returns (None, nodes) with nodes > limit."""
     w = positive_functional(setup)
     if w is None:
         raise ValidationError(
@@ -452,6 +458,8 @@ def monomials_by_full_search(alpha_free, setup, allowed, find_one=False):
         j = allowed[pos]
         top = bud // weights[j]
         nodes += top + 1  # the children, counted once by their parent
+        if limit is not None and nodes > limit:
+            raise _PastLimit
         for v in range(top + 1):
             a[j] = v
             new_rem = [
@@ -463,7 +471,10 @@ def monomials_by_full_search(alpha_free, setup, allowed, find_one=False):
         a[j] = 0
 
     if budget >= 0:
-        rec(0, target, budget)
+        try:
+            rec(0, target, budget)
+        except _PastLimit:
+            return None, nodes
     return out, nodes
 
 

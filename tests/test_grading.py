@@ -284,6 +284,27 @@ class TestMonomialBasis:
         with pytest.raises(CapExceededError):
             monomial_basis(Degree(free=(33, 33)), h2)
 
+    @pytest.mark.parametrize("d", [10**6, 10**30])
+    @pytest.mark.parametrize("setup", [
+        make_h2(),
+        # P^2 blown up at two points: three exponents off each cone
+        setup_from_rays([[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]], 11,
+                        [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]),
+    ], ids=["h2", "blowup"])
+    def test_huge_degree_trips_before_any_table(self, monkeypatch, setup, d):
+        # the first two levels of the count, or the children of the nodes
+        # that find_one enters, pass the cap in closed form: no table is
+        # built in proportion to the budget
+        def refuse(*args):
+            raise AssertionError("count table built")
+
+        monkeypatch.setattr(grading, "_count_table", refuse)
+        alpha = degree_of([d] * setup.r, setup)
+        with pytest.raises(CapExceededError):
+            monomial_basis(alpha, setup)
+        with pytest.raises(CapExceededError):
+            in_semigroup_Khat(alpha, setup)
+
     def test_lex_ascending(self, h2):
         mons = monomial_basis(Degree(free=(2, 3)), h2)
         assert mons == sorted(mons)
@@ -300,6 +321,11 @@ POINTED = [
     setup_from_beta([[1, 0, 1, 1], [0, 1, 1, 1]], 11),
     # rank 3: a pair is solved on the first two rows with a nonzero minor
     setup_from_beta([[1, 0, 0, 1, 1], [0, 1, 0, 1, 2], [0, 0, 1, 1, 3]], 11),
+    # the solved pair has minor -4: the exponents t before it that give
+    # integer solutions step by 2
+    setup_from_beta([[1, 1, 1, 1], [0, 1, 3, -1]], 11),
+    # rank 3, minor 3 on the first two rows: the third row fixes t
+    setup_from_beta([[1, 0, 0, 1, 2], [0, 1, 0, 2, 1], [0, 0, 1, 1, 1]], 11),
 ]
 
 
@@ -327,6 +353,35 @@ def test_enumeration_matches_full_search(case):
         with mock.patch.object(grading, "MONOMIAL_SEARCH_CAP", nodes - 1):
             with pytest.raises(CapExceededError):
                 grading._enumerate_solutions(alpha, setup, allowed, find_one)
+
+
+@hst.composite
+def deep_searches(draw):
+    """Degrees up to 40, whose searches run to millions of nodes, and a
+    cap that the search may pass at any node."""
+    setup, _, allowed, find_one = draw(searches())
+    alpha = tuple(
+        draw(hst.lists(hst.integers(0, 40), min_size=setup.k, max_size=setup.k))
+    )
+    return setup, alpha, allowed, find_one, draw(hst.integers(1, 20_000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(deep_searches())
+def test_cap_trips_where_the_full_search_passes_it(case):
+    """The cap trips exactly when the full search passes it, however
+    deep; with find_one, after the children of the nodes before the
+    first solution."""
+    setup, alpha, allowed, find_one, cap = case
+    want, _ = oracles.monomials_by_full_search(alpha, setup, allowed,
+                                               find_one, limit=cap)
+    with mock.patch.object(grading, "MONOMIAL_SEARCH_CAP", cap):
+        if want is None:
+            with pytest.raises(CapExceededError):
+                grading._enumerate_solutions(alpha, setup, allowed, find_one)
+        else:
+            assert grading._enumerate_solutions(alpha, setup, allowed,
+                                                find_one) == want
 
 
 @settings(max_examples=300, deadline=None)

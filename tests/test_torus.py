@@ -576,6 +576,16 @@ class TestArraysAreReadOnly:
                 getattr(Y, name)[:] = 0
         assert codes.code_parameters(Y, alpha, st, compute_d=True).d == 20
 
+    def test_subgroup_basis_cannot_be_overwritten(self):
+        # the class count reads basis_reps: six classes at (1, 1), two
+        # if the first representative could be zeroed in place
+        st = make_h2()
+        Y, _ = degenerate_torus([2, 5, 4, 5], 10, st)
+        for name in ("basis", "basis_reps"):
+            with pytest.raises(TypeError):
+                getattr(Y, name)[0][:] = [0] * len(getattr(Y, name)[0])
+        assert codes.hilbert_function(Y, Degree(free=(1, 1)), st) == 6
+
 
 class TestTorsion:
     """Rays whose class group has torsion Z/2: no integer right inverse of
