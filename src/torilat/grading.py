@@ -19,9 +19,11 @@ from .errors import CapExceededError, InternalError, ValidationError
 from .gfield import PrimeField
 
 # Nodes a search of every value of every exponent would visit, counted
-# in closed form before the monomials are listed.  Degree (30, 30) on H_2
-# needs 3.54 M.
+# before the monomials are listed.  Degree (30, 30) on H_2 needs 3.54 M.
 MONOMIAL_SEARCH_CAP = 5 * 10**6
+# Values the node count keeps: a budget too large for a table of this
+# many is counted over the budgets the search reaches.
+_COUNT_MEMO = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -335,15 +337,6 @@ def _children(s, c, w, w2):
     return _floor_sum(s, w2, w, c - (s - 1) * w) + s if s else 0
 
 
-def _head(ws, i, c):
-    """Nodes on the first two levels below a level-i node of budget c:
-    all of them when i >= m - 2, else a lower bound."""
-    top = c // ws[i]
-    if i + 1 == len(ws):
-        return top + 1
-    return top + 1 + _children(top + 1, c, ws[i], ws[i + 1])
-
-
 def _count_table(ws, top):
     """T[i][c] for 0 <= i <= m and 0 <= c <= top: the nodes below a
     level-i node of budget c.  Its children v = 0, 1, ... give
@@ -357,45 +350,76 @@ def _count_table(ws, top):
     return table[::-1]
 
 
+def _counter(ws, budget):
+    """below(i, c, limit) for c <= budget: T_i(c), the nodes below a
+    level-i node of budget c, or a number past `limit` once the count
+    passes it.
+
+    Read from `_count_table` when it holds at most _COUNT_MEMO values.
+    Otherwise T_i is summed by the same recurrence up one residue class
+    of c modulo w_i at a time (known[i][c % w_i] lists T_i at c % w_i,
+    c % w_i + w_i, ...), with T_{m-1}(c) = c // w + 1.  Each step adds
+    at least one node, so the work stops as soon as the count passes
+    the limit, and at most _COUNT_MEMO values are kept, however large
+    the budget and the weights."""
+    if (len(ws) + 1) * (budget + 1) <= _COUNT_MEMO:
+        table = _count_table(ws, budget)
+        return lambda i, c, limit: table[i][c]
+    last = len(ws) - 1
+    known, room = [{} for _ in ws], _COUNT_MEMO
+
+    def below(i, c, limit):
+        nonlocal room
+        w = ws[i]
+        j, rho = divmod(c, w)
+        if i == last:
+            return j + 1
+        row = known[i].get(rho, ())
+        if j < len(row):
+            return row[j]
+        if j >= limit:  # the children alone pass it
+            return j + 1
+        total = row[-1] if row else 0
+        if not row and room:
+            row = known[i][rho] = []
+        for b in range(rho + len(row) * w, c + 1, w):
+            total += 1 + below(i + 1, b, limit - total - 1)
+            if total > limit:
+                return total
+            if room:
+                row.append(total)
+                room -= 1
+        return total
+
+    return below
+
+
 def _full_count(ws, budget):
-    """Nodes of the whole search from a root of budget >= 0: 1 + T_0(b).
-    The first two levels are summed in closed form, which is all of it
-    for m <= 2; the tables are built only when these stay within the
-    cap, so a degree that trips it builds none."""
-    if not ws:
-        return 1
-    nodes = 1 + _head(ws, 0, budget)
-    if len(ws) <= 2 or nodes > MONOMIAL_SEARCH_CAP:
-        return nodes
-    return 1 + _count_table(ws, budget)[0][budget]
+    """Nodes of the whole search from a root of budget >= 0: 1 + T_0(b),
+    or a number past the cap once the count passes it."""
+    return 1 + _counter(ws, budget)(0, budget, MONOMIAL_SEARCH_CAP - 1) if ws else 1
 
 
 def _first_count(ws, budget, s):
     """Nodes of the search with find_one, whose first solution has the
-    exponents s at the allowed columns: with c_i the budget left at
-    level i, 1 + sum_i (c_i // w_i + 1) + T_i(c_i) - T_i(c_i - s_i w_i)
-    - s_i, the children of each node on the path and the subtrees of
-    the children it passes.  Those of levels m - 1 and m - 2 are summed
-    in closed form; deeper ones read the tables, built only when the
-    first two levels of each stay within the cap."""
-    m = len(ws)
-    path = []
-    for w, v in zip(ws, s):
-        path.append((budget, v))
+    exponents s at the allowed columns, or a number past the cap once
+    the count passes it: with c_i the budget left at level i,
+    1 + sum_i (c_i // w_i + 1) + sum_{v < s_i} T_{i+1}(c_i - v w_i), the
+    children of each node on the path and the subtrees of the children
+    it passes.  Those of level m - 2 are summed in closed form."""
+    m, below, nodes = len(ws), None, 1
+    for i, (w, v) in enumerate(zip(ws, s)):
+        nodes += budget // w + 1
+        if i == m - 2:
+            nodes += _children(v, budget, w, ws[-1])
+        elif i < m - 2 and v:
+            below = below or _counter(ws, budget)
+            for x in range(v):
+                nodes += below(i + 1, budget - x * w, MONOMIAL_SEARCH_CAP - nodes)
+                if nodes > MONOMIAL_SEARCH_CAP:
+                    return nodes
         budget -= v * w
-    nodes = 1 + sum(c // w + 1 for (c, _), w in zip(path, ws))
-    if m >= 2:
-        c, v = path[m - 2]
-        nodes += _children(v, c, ws[m - 2], ws[m - 1])
-    deep = [i for i in range(m - 2) if path[i][1]]
-    if not deep:
-        return nodes
-    lower = nodes + sum(_head(ws, i + 1, path[i][0]) for i in deep)
-    if lower > MONOMIAL_SEARCH_CAP:
-        return lower
-    T = _count_table(ws, path[deep[0]][0])
-    return nodes + sum(T[i][c] - T[i][c - v * ws[i]] - v
-                       for i in deep for c, v in [path[i]])
+    return nodes
 
 
 # Enumeration ------------------------------------------------------------
@@ -466,8 +490,8 @@ def _enumerate_solutions(alpha_free, setup, allowed, find_one=False):
     monomial.
 
     The cap bounds the nodes of the search of every value of every
-    exponent; the count is taken in closed form and raises
-    CapExceededError before the search.  With find_one it depends on the
+    exponent; the count (`_full_count`) stops as soon as it passes the
+    cap and raises CapExceededError before the search.  With find_one it depends on the
     first solution, so it is taken after it, and the walk stops as soon
     as the children of the nodes it enters pass the cap."""
     w = positive_functional(setup)

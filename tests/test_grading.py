@@ -1,5 +1,6 @@
 """Grading setup, degrees, homogeneity, monomial enumeration."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -292,9 +293,9 @@ class TestMonomialBasis:
                         [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]),
     ], ids=["h2", "blowup"])
     def test_huge_degree_trips_before_any_table(self, monkeypatch, setup, d):
-        # the first two levels of the count, or the children of the nodes
-        # that find_one enters, pass the cap in closed form: no table is
-        # built in proportion to the budget
+        # a table this large would pass the values the count may keep, so
+        # the count runs over the budgets the search reaches and stops at
+        # the cap
         def refuse(*args):
             raise AssertionError("count table built")
 
@@ -304,6 +305,27 @@ class TestMonomialBasis:
             monomial_basis(alpha, setup)
         with pytest.raises(CapExceededError):
             in_semigroup_Khat(alpha, setup)
+
+    @pytest.mark.parametrize("weights, d", [
+        ((10**6, 10**6 + 1, 1), 3 * 10**9),
+        ((1000, 1001, 1), 3 * 10**6),
+    ])
+    def test_large_weights_trip_in_little_memory(self, monkeypatch, weights, d):
+        # the first two levels hold fewer nodes than the cap, the third
+        # far more: the count stops there and keeps next to nothing
+        def refuse(*args):
+            raise AssertionError("count table built")
+
+        monkeypatch.setattr(grading, "_count_table", refuse)
+        setup = setup_from_beta([list(weights)], 11)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError):
+                monomial_basis(Degree(free=(d,)), setup)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_lex_ascending(self, h2):
         mons = monomial_basis(Degree(free=(2, 3)), h2)
@@ -357,13 +379,15 @@ def test_enumeration_matches_full_search(case):
 
 @hst.composite
 def deep_searches(draw):
-    """Degrees up to 40, whose searches run to millions of nodes, and a
-    cap that the search may pass at any node."""
+    """Degrees up to 40, whose searches run to millions of nodes, a cap
+    that the search may pass at any node, and the values the count may
+    keep: few enough, at times, that it cannot read a table."""
     setup, _, allowed, find_one = draw(searches())
     alpha = tuple(
         draw(hst.lists(hst.integers(0, 40), min_size=setup.k, max_size=setup.k))
     )
-    return setup, alpha, allowed, find_one, draw(hst.integers(1, 20_000))
+    memo = draw(hst.sampled_from([grading._COUNT_MEMO, 0, 3, 50]))
+    return setup, alpha, allowed, find_one, draw(hst.integers(1, 20_000)), memo
 
 
 @settings(max_examples=200, deadline=None)
@@ -372,16 +396,30 @@ def test_cap_trips_where_the_full_search_passes_it(case):
     """The cap trips exactly when the full search passes it, however
     deep; with find_one, after the children of the nodes before the
     first solution."""
-    setup, alpha, allowed, find_one, cap = case
+    setup, alpha, allowed, find_one, cap, memo = case
     want, _ = oracles.monomials_by_full_search(alpha, setup, allowed,
                                                find_one, limit=cap)
-    with mock.patch.object(grading, "MONOMIAL_SEARCH_CAP", cap):
+    with mock.patch.multiple(grading, MONOMIAL_SEARCH_CAP=cap, _COUNT_MEMO=memo):
         if want is None:
             with pytest.raises(CapExceededError):
                 grading._enumerate_solutions(alpha, setup, allowed, find_one)
         else:
             assert grading._enumerate_solutions(alpha, setup, allowed,
                                                 find_one) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.lists(hst.integers(1, 6), min_size=1, max_size=5),
+       hst.integers(0, 40), hst.integers(0, 60))
+def test_count_without_a_table_reads_the_table(ws, budget, memo):
+    """Summed over the budgets it reaches, keeping at most `memo`
+    values, the count gives every entry of the table."""
+    table = grading._count_table(ws, budget)
+    with mock.patch.object(grading, "_COUNT_MEMO", memo):
+        below = grading._counter(ws, budget)
+        for i in reversed(range(len(ws))):
+            for c in range(budget + 1):
+                assert below(i, c, 10**9) == table[i][c]
 
 
 @settings(max_examples=300, deadline=None)
