@@ -15,16 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
+from .gfield import PrimeField
 from .grading import Degree, ToricSetup, monomial_basis
 from .torus import PointSet, degenerate_torus
 
 DEFAULT_MESSAGE_CAP = 10**6
 # Entries in one temporary of the minimum-distance search: the table of
-# tail combinations, or a block of messages against it.  A block holds
-# at least one message, so a code longer than this has N-entry blocks.
+# tail combinations, the words of a span of head messages, or a block of
+# them against the table.  A block holds at least one message, so a code
+# longer than this has N-entry blocks.
 SEARCH_ENTRIES = 2**16
 # a search of more projective messages is refused; below it every message
-# index is an exact int64
+# index fits in 64 bits
 _INDEX_LIMIT = 2**62
 
 
@@ -156,25 +158,56 @@ def injectivity_exact(a, h, alpha: Degree, setup: ToricSetup) -> bool:
 
 def minimum_distance(basis: np.ndarray, q: int) -> int:
     """Least weight of a nonzero word in the row space of `basis`, a
-    k x N int64 residue matrix of rank k >= 1 over F_q.
+    k x N matrix of rank k >= 1 over F_q, q prime, whose entries are read
+    mod q.  Other input raises ValidationError (CapExceededError for a q
+    past the field-size cap) before the search.
 
     The search is exhaustive over one message per scalar class: for each
     leading position `lead`, the messages (0, ..., 0, 1, tail), tail in
     F_q^m (m = k - lead - 1) in lexicographic order.  Per lead, the table
     `neg` holds -(c . T_low) mod q for every combination c of the last
-    `low` < m tail digits, `low` as large as SEARCH_ENTRIES allows.  A
-    block of leading digits gives its partial words `part` by one int64
-    product mod q, and word (head, c) is zero in column j exactly when
+    `low` < m tail digits, `low` within SEARCH_ENTRIES and no more than
+    the lead's head messages pay for; leads whose tabulated rows end the
+    basis share one table.  The words `part` of a span of head messages
+    (the other m - low digits) are formed by broadcast multiply-adds and
+    reduced mod q, exactly, in the narrowest unsigned dtype that holds
+    their sums, and word (head, c) is zero in column j exactly when
     part[j] == neg[c, j] (with low = 0, `neg` is the one zero row).
-    The search stops at weight 1.  A search of more than 2^62 messages
-    could never finish and raises CapExceededError before any work.
+    Residues are compared in the narrowest unsigned dtype that holds
+    q - 1, and zeros counted in the narrowest that holds N, with the sum
+    over the N columns along a long axis.  The search stops at weight 1.
+    A search of more than 2^62 messages could never finish and raises
+    CapExceededError before any work.
     """
+    PrimeField(q)  # q prime, and within the field-size cap
+    basis = np.asarray(basis, dtype=np.int64)
+    if basis.ndim != 2 or basis.shape[0] == 0:
+        raise ValidationError(
+            f"minimum distance needs a k x N basis with k >= 1, got shape "
+            f"{basis.shape}"
+        )
+    _check_messages(q, basis.shape[0])
+    basis = basis % q
+    if rank_mod_q(basis, q) < basis.shape[0]:
+        raise ValidationError(
+            f"the {basis.shape[0]} basis rows are linearly dependent over F_{q}"
+        )
     return _search(basis, q)
 
 
+def _check_messages(q: int, k: int) -> None:
+    """Refuse a search of more than 2^62 projective messages."""
+    # (q^k - 1)/(q - 1) >= 2^k - 1, so k >= 64 needs no big-integer power
+    if k >= 64 or (q**k - 1) // (q - 1) > _INDEX_LIMIT:
+        raise CapExceededError(
+            f"minimum distance needs ({q}^{k} - 1)/{q - 1} projective messages, "
+            f"more than the search limit 2^62"
+        )
+
+
 def _search(basis: np.ndarray, q: int, labels=None, pows=None) -> int:
-    """minimum_distance(basis, q); given `labels` and `pows`, over one
-    message per orbit of a subgroup Y.
+    """minimum_distance(basis, q) of a k x N residue matrix of rank k;
+    given `labels` and `pows`, over one message per orbit of a subgroup Y.
 
     Row i of `basis` is then a character chi_i of Y, labels[i] its
     exponents of eta on the generators of Y, and pows[e] = eta^e.
@@ -188,50 +221,135 @@ def _search(basis: np.ndarray, q: int, labels=None, pows=None) -> int:
     runs over all of F_q.
     """
     k, N = basis.shape
-    # (q^k - 1)/(q - 1) >= 2^k - 1, so k >= 64 needs no big-integer power
-    if k >= 64 or (q**k - 1) // (q - 1) > _INDEX_LIMIT:
-        raise CapExceededError(
-            f"minimum distance needs ({q}^{k} - 1)/{q - 1} projective messages, "
-            f"more than the search limit 2^62"
-        )
+    _check_messages(q, k)
+    digits = np.arange(q)  # the first tail row's digits, or their cosets
+    if labels is not None:
+        gaps = np.gcd.reduce(labels - labels[:, None], axis=2, initial=q - 1)
+        cosets = np.concatenate(([0], pows))
+    # suffix: the table of the last ell rows; its first row is zero
+    suffix, ell = np.zeros((1, N), dtype=np.min_scalar_type(q - 1)), 0
     best = N
-    for lead in range(k):
-        tail, m = basis[lead + 1 :], k - lead - 1
-        first = np.arange(q, dtype=np.int64)  # the first tail row's digits
-        if labels is not None and m:
-            g = np.gcd.reduce(labels[lead + 1 :] - labels[lead], axis=1,
-                              initial=q - 1)
-            i = int(np.argmin(g))
-            tail = tail[[i, *range(i), *range(i + 1, m)]]
-            first = np.concatenate(([0], pows[: g[i]]))
-        low = max([t for t in range(m) if q**t * N <= SEARCH_ENTRIES], default=0)
-        # low < m whenever m > 0, so the first tail row leads the head and
-        # its digits replace one factor q of the head count (m = 0: one)
-        head, heads = tail[: m - low], len(first) * q ** (m - low) // q
-        # neg[c] = -(c . T_low) mod q, c in F_q^low in lexicographic order
-        neg = np.zeros((1, N), dtype=np.int64)
-        for row in tail[m - low :]:
-            neg = (neg[:, None] - np.arange(q)[:, None] * row).reshape(-1, N) % q
-        # one buffer per lead: fresh block-sized temporaries page-fault
-        rows = min(heads, max(1, SEARCH_ENTRIES // neg.size))
-        buf = np.empty((rows, N), dtype=np.int64)
-        for start in range(0, heads, rows):
-            index = np.arange(start, min(start + rows, heads), dtype=np.int64)
-            digits = np.empty((index.size, m - low), dtype=np.int64)
-            for j in range(m - low - 1, -1, -1):
-                index, digits[:, j] = np.divmod(index, q if j else len(first))
-            # the first digit is a position in `first` (with m = 0, no-op)
-            digits[:, :1] = first[digits[:, :1]]
-            # exact in int64: the product plus basis[lead] stays below
-            # k (q-1)^2 + q < 2^63 (at q <= 10^6, for k below 9 * 10^6), as
-            # does a table step; part and neg are compared as residues
-            part = np.matmul(digits, head, out=buf[: len(digits)])
-            part += basis[lead]
-            part %= q
-            zeros = np.count_nonzero(neg == part[:, None], axis=2)
-            best = min(best, N - int(zeros.max()))
-            if best == 1:
-                return 1
+    for lead in range(k - 1):
+        m = k - lead - 1
+        rows = list(range(lead + 1, k))  # the tail, as rows of `basis`
+        first = digits
+        if labels is not None:
+            i = int(gaps[lead, lead + 1 :].argmin())
+            rows.insert(0, rows.pop(i))
+            first = cosets[: gaps[lead, lead + 1 + i] + 1]
+        low = _table_digits(q, N, m, len(first))
+        if rows[m - low :] == list(range(k - low, k)):
+            if low > ell:
+                suffix, ell = _prepend(suffix, basis[k - low : k - ell], q), low
+            neg = suffix[: q**low]
+        else:
+            neg = _prepend(suffix[:1], basis[rows[m - low :]], q)
+        # low < m, so the head leads with the first tail row and its digits
+        best = _scan(basis[lead], basis[rows[: m - low]], first, neg, q, best)
+        if best == 1:
+            return 1
+    # the last lead has the one message (0, ..., 0, 1)
+    return min(best, int(np.count_nonzero(basis[-1])))
+
+
+def _table_digits(q: int, N: int, m: int, first: int) -> int:
+    """How many of the m > 0 tail digits to tabulate: fewer than m, within
+    SEARCH_ENTRIES, and of those the count that builds the fewest entries
+    per word column: q^low for the table, plus m - low products for each
+    of the first * q^(m - low - 1) head messages.  That count is convex
+    in low, so its first local minimum is the least."""
+    def built(t):
+        return q**t + first * q ** (m - t - 1) * (m - t)
+
+    low = 0
+    while (low + 1 < m and q ** (low + 1) * N <= SEARCH_ENTRIES
+           and built(low + 1) < built(low)):
+        low += 1
+    return low
+
+
+def _prepend(table: np.ndarray, rows: np.ndarray, q: int) -> np.ndarray:
+    """The table of -(c . T) mod q, T = `rows` stacked above the rows that
+    `table` tabulates, c in lexicographic order.  The digits of `rows`
+    are the most significant, so `table` is the part where they are 0."""
+    res, wide = table.dtype, np.min_scalar_type(2 * q - 2)
+    for row in rows[::-1]:
+        step = (np.arange(q)[:, None] * (q - row) % q).astype(wide)
+        t = np.add(table, step[:, None], dtype=wide)
+        # from [0, 2q - 2] to [0, q): unsigned t - q wraps above t if t < q
+        np.minimum(t, t - wide.type(q), out=t)
+        table = t.astype(res).reshape(-1, row.size)
+    return table
+
+
+def _memory_order(rows: int, R: int, N: int) -> tuple:
+    """The axes of the compare, (rows, R, N) = (head words, table rows,
+    word columns), outermost first: the longest innermost, and N
+    outermost otherwise, so that the sum over the N word columns runs
+    along a long axis."""
+    if N >= max(rows, R):
+        return (0, 1, 2)
+    return (2, 0, 1) if R >= rows else (2, 1, 0)
+
+
+def _scan(lead_row, head, first, neg, q, best):
+    """The least of `best` and the weights of the words lead_row +
+    c_0 head[0] + ... + c_{h-1} head[h-1] - neg[t], for c_0 in `first`,
+    c_1, ..., c_{h-1} in F_q and t over the rows of `neg`; 1 once met.
+
+    Head messages are taken in spans, lexicographic in c; a span's words
+    are formed mod q, then compared with `neg` in blocks of `rows` of
+    them, each temporary of at most SEARCH_ENTRIES entries."""
+    (R, N), h = neg.shape, len(head)
+    heads = len(first) * q ** (h - 1)
+    rows = min(heads, max(1, SEARCH_ENTRIES // (R * N)))
+    span = min(heads, rows * max(1, SEARCH_ENTRIES // (rows * max(R, N))))
+    # exact for a message index, and for a word before its mod: lead_row
+    # plus h products of residues, at most (q - 1)(1 + h(q - 1))
+    wide = np.min_scalar_type(max(heads - 1, (q - 1) * (1 + h * (q - 1))))
+    count = np.min_scalar_type(N)
+    axes = _memory_order(rows, R, N)
+    eq = np.empty([(rows, R, N)[a] for a in axes], dtype=bool)
+    eq = eq.transpose([axes.index(a) for a in range(3)])
+    # the (., N) and (., R) arrays in the memory order of eq's axes
+    order = "C" if axes[0] == 0 else "F"
+    neg = np.asarray(neg, order=order)
+    words = np.empty((span, N), dtype=neg.dtype, order=order)
+    acc = np.empty((span, N), dtype=wide, order=order)
+    prod = np.empty_like(acc)
+    zeros = np.empty((span, R), dtype=count,
+                     order="F" if axes == (2, 1, 0) else "C")
+    steps = np.arange(span, dtype=wide)
+    index, quot, digit = np.empty((3, span), dtype=wide)
+    lead_row, head, first = (x.astype(wide) for x in (lead_row, head, first))
+    for start in range(0, heads, span):
+        n = min(span, heads - start)
+        i, t, d, a, p = index[:n], quot[:n], digit[:n], acc[:n], prod[:n]
+        np.add(steps[:n], start, out=i)
+        np.copyto(a, lead_row)
+        for j in range(h - 1, -1, -1):
+            if j:  # the last digit of i, whose quotient is the new i
+                np.floor_divide(i, q, out=t)
+                np.multiply(t, q, out=d)
+                np.subtract(i, d, out=d)
+                i, t = t, i
+            else:
+                first.take(i, out=d)
+            np.multiply(d[:, None], head[j], out=p)
+            a += p
+        # a mod q by a floor division, which numpy vectorizes (and its
+        # remainder not)
+        np.floor_divide(a, q, out=p)
+        p *= q
+        np.subtract(a, p, out=words[:n], casting="unsafe")
+        for s in range(0, n, rows):
+            b = min(rows, n - s)
+            np.equal(neg, words[s : s + b, None], out=eq[:b])
+            np.add.reduce(eq[:b].view(np.uint8), axis=2, dtype=count,
+                          out=zeros[s : s + b])
+        best = min(best, N - int(zeros[:n].max()))
+        if best == 1:
+            return 1
     return best
 
 

@@ -500,8 +500,9 @@ class TestMinimumDistance:
     @given(hst.sampled_from([2, 3, 5, 7, 11, 13]), hst.data())
     @settings(max_examples=60, deadline=None)
     def test_table_search_matches_the_message_loop(self, low, q, data):
-        # the entry bound is set so that lead 0 tabulates exactly `low`
-        # tail digits and takes blocks of rows < q head messages, hence
+        # the entry bound is set so that lead 0 tabulates at most `low`
+        # tail digits (fewer where its head messages do not pay for the
+        # table) and takes blocks of rows < q head messages, hence
         # several blocks per lead
         k = data.draw(hst.integers(low + 2, 5))
         n = data.draw(hst.integers(k, 30))
@@ -539,6 +540,85 @@ class TestMinimumDistance:
         assert minimum_distance(basis, q) == oracles.min_distance_by_messages(
             basis, q
         )
+
+    @pytest.mark.parametrize("basis, q", [
+        ([[1, 2, 3], [2, 4, 6]], 7),  # dependent rows
+        ([[7, 0, 14]], 7),  # a zero row mod q
+        (np.zeros((0, 4), dtype=np.int64), 7),  # no rows
+        ([1, 2, 3], 7),  # not a matrix
+        ([[1, 0, 1], [0, 1, 1]], 8),  # composite q
+        ([[1, 0, 1], [0, 1, 1]], 1),
+    ])
+    def test_bad_input_is_refused_before_the_search(self, basis, q):
+        with mock.patch.object(codes, "_search", side_effect=AssertionError):
+            with pytest.raises(ValidationError):
+                minimum_distance(np.asarray(basis, dtype=np.int64), q)
+
+    def test_entries_are_read_mod_q(self):
+        assert minimum_distance(np.array([[8, -1, 0, 7]]), 7) == 2
+        # a field past the size cap is a cap, as for a problem document
+        with pytest.raises(CapExceededError):
+            minimum_distance(np.eye(2, dtype=np.int64), 1000003)
+
+    @pytest.mark.parametrize("q, k, N", [
+        (251, 3, 7),  # residues in uint8
+        (257, 3, 7),  # q - 1 = 256: residues in uint16
+        (65537, 2, 3),  # q - 1 = 2^16: uint32 residues, uint64 head words
+    ])
+    def test_residue_dtype_boundaries(self, q, k, N):
+        basis = row_space_basis(np.random.default_rng(q).integers(0, q, (k, N)), q)
+        assert basis.shape == (k, N)
+        assert minimum_distance(basis, q) == oracles.min_distance_by_messages(
+            basis, q
+        )
+        # the words (1, c, c - 1) weigh 2 at c = 0, 1 and 3 otherwise, and
+        # (0, 1, 1) weighs 2; d = 1 would mean q - 1 was read as 0
+        assert minimum_distance(np.array([[1, 0, q - 1], [0, 1, 1]]), q) == 2
+
+    @pytest.mark.parametrize("N", [255, 256, 65535, 65536])
+    @pytest.mark.parametrize("unit", [False, True])
+    def test_zero_count_dtype_boundaries(self, N, unit):
+        # zeros are counted in uint8 up to N = 255 and in uint16 up to
+        # 2^16 - 1; a weight-1 word has N - 1 zeros
+        q, k = (3, 3) if N < 2**16 - 1 else (2, 2)
+        A = np.random.default_rng(N).integers(0, q, (k, N))
+        if unit:
+            A[-1] = 0
+            A[-1, N // 2] = 1
+        basis = row_space_basis(A, q)
+        assert basis.shape == (k, N)
+        d = minimum_distance(basis, q)
+        assert d == oracles.min_distance_by_messages(basis, q)
+        assert (d == 1) == unit
+
+    @pytest.mark.parametrize("q, k, N, entries, axes", [
+        (5, 3, 40, 400, (0, 1, 2)),  # N innermost
+        (7, 3, 3, 42, (2, 0, 1)),  # N outermost, table rows innermost
+        (13, 2, 4, 20, (2, 1, 0)),  # N outermost, head words innermost
+    ])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_compare_layouts_match_the_message_loop(self, q, k, N, entries,
+                                                    axes, seed):
+        # the entry bound gives lead 0 several spans and blocks in the
+        # named memory order of the compare
+        A = np.random.default_rng(seed).integers(0, q, (k, N))
+        if seed == 3:  # a weight-1 word: d = 1
+            A[-1] = 0
+            A[-1, 0] = 1
+        basis = row_space_basis(A, q)
+        assert basis.shape == (k, N)
+        used = []
+        order = codes._memory_order
+
+        def recording(*shape):
+            used.append(order(*shape))
+            return used[-1]
+
+        with mock.patch.object(codes, "SEARCH_ENTRIES", entries), \
+                mock.patch.object(codes, "_memory_order", recording):
+            d = minimum_distance(basis, q)
+        assert used[0] == axes
+        assert d == oracles.min_distance_by_messages(basis, q)
 
     @pytest.mark.parametrize("s, q, t", (
         [(3, 3, t) for t in (1, 2, 3)]
