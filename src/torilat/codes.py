@@ -5,7 +5,8 @@ Hilbert function (a count of monomial classes on a subgroup, a rank
 elsewhere), length, Hilbert tables, injectivity of evaluation on a
 degenerate torus, and an exhaustive minimum-distance search in batches,
 over one message per orbit on a subgroup.  All field arithmetic is exact
-modular arithmetic; numpy only carries int64 residues.
+modular arithmetic: numpy carries int64 residues, and in the distance
+search the narrowest unsigned ones that hold the values exactly.
 """
 
 from __future__ import annotations

@@ -554,7 +554,7 @@ class TestMinimumDistance:
             with pytest.raises(ValidationError):
                 minimum_distance(np.asarray(basis, dtype=np.int64), q)
 
-    def test_entries_are_read_mod_q(self):
+    def test_entries_mod_q_and_the_field_cap(self):
         assert minimum_distance(np.array([[8, -1, 0, 7]]), 7) == 2
         # a field past the size cap is a cap, as for a problem document
         with pytest.raises(CapExceededError):
