@@ -599,7 +599,7 @@ class TestMinimumDistance:
     @pytest.mark.parametrize("seed", range(4))
     def test_compare_layouts_match_the_message_loop(self, q, k, N, entries,
                                                     axes, seed):
-        # the entry bound gives lead 0 several spans and blocks in the
+        # the entry bound gives lead 0 several spans or blocks in the
         # named memory order of the compare
         A = np.random.default_rng(seed).integers(0, q, (k, N))
         if seed == 3:  # a weight-1 word: d = 1
