@@ -159,6 +159,8 @@ def cmd_ci_check(args, doc, setup):
     rows = _int_matrix(task.get("matrix", task.get("lattice", [])), "matrix")
     if not rows:
         raise ValidationError("ci-check needs a basis 'matrix'")
+    if not rows[0]:
+        raise ValidationError("matrix rows must not be empty")
     gamma = intlin.transpose(rows)
     mixed = lat.is_mixed(gamma)
     dominating = lat.is_dominating(gamma)

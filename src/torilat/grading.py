@@ -297,44 +297,13 @@ def positive_functional(setup: ToricSetup):
     return wi
 
 
-def _floor_sum(n, m, a, c):
-    """Sum of (a*i + c) // m over 0 <= i < n, for m > 0 and a, c >= 0,
-    in O(log m) steps (the Euclid-like reduction of AtCoder's floor_sum)."""
-    total = 0
-    while True:
-        if a >= m:
-            total += n * (n - 1) // 2 * (a // m)
-            a %= m
-        if c >= m:
-            total += n * (c // m)
-            c %= m
-        y = a * n + c
-        if y < m:
-            return total
-        n, c = divmod(y, m)
-        m, a = a, m
-
-
 # Node counts of the full search ---------------------------------------
 #
 # The cap bounds the nodes of a search that tries every value of every
-# allowed exponent in turn: a node of level i and budget c (what is left
-# of the weight w . alpha) has c // w_i + 1 children, the root counts
-# one, and with find_one the search stops at its first solution.  These
-# counts depend on the weights alone, so they are taken before (or, with
-# find_one, beside) the enumeration, which visits far fewer nodes.
-
-
-def _check_nodes(nodes):
-    if nodes > MONOMIAL_SEARCH_CAP:
-        raise CapExceededError(f"monomial search passed {MONOMIAL_SEARCH_CAP} nodes")
-
-
-def _children(s, c, w, w2):
-    """Sum of (c - v w) // w2 + 1 over 0 <= v < s, for (s - 1) w <= c:
-    the children of the first s children of a node of budget c whose
-    exponent has weight w, the next one weight w2."""
-    return _floor_sum(s, w2, w, c - (s - 1) * w) + s if s else 0
+# exponent in turn: a node of level i and budget c (what is left of the
+# weight w . alpha) has c // w_i + 1 children, and the root counts one.
+# These counts depend on the weights alone, so they are taken before the
+# enumeration, which visits far fewer nodes.
 
 
 def _count_table(ws, top):
@@ -400,40 +369,30 @@ def _full_count(ws, budget):
     return 1 + _counter(ws, budget)(0, budget, MONOMIAL_SEARCH_CAP - 1) if ws else 1
 
 
-def _first_count(ws, budget, s):
-    """Nodes of the search with find_one, whose first solution has the
-    exponents s at the allowed columns, or a number past the cap once
-    the count passes it: with c_i the budget left at level i,
-    1 + sum_i (c_i // w_i + 1) + sum_{v < s_i} T_{i+1}(c_i - v w_i), the
-    children of each node on the path and the subtrees of the children
-    it passes.  Those of level m - 2 are summed in closed form."""
-    m, below, nodes = len(ws), None, 1
-    for i, (w, v) in enumerate(zip(ws, s)):
-        nodes += budget // w + 1
-        if i == m - 2:
-            nodes += _children(v, budget, w, ws[-1])
-        elif i < m - 2 and v:
-            below = below or _counter(ws, budget)
-            for x in range(v):
-                nodes += below(i + 1, budget - x * w, MONOMIAL_SEARCH_CAP - nodes)
-                if nodes > MONOMIAL_SEARCH_CAP:
-                    return nodes
-        budget -= v * w
-    return nodes
-
-
 # Enumeration ------------------------------------------------------------
 
 
-def _solved_block(cols, allowed, k):
+def _require_pointed(setup):
+    """The positive functional w of a pointed grading, else
+    ValidationError: then some nonconstant monomial has degree 0, and
+    its powers fill that graded piece."""
+    w = positive_functional(setup)
+    if w is None:
+        raise ValidationError(
+            "grading is not pointed: a nonconstant monomial has degree 0"
+        )
+    return w
+
+
+def _solved_block(cols, k):
     """(size, D, adj, checks) for the trailing exponents solved by
-    Cramer's rule: the last two allowed when their columns have a
-    nonzero 2x2 minor (on the first rows i1 < i2 that give one), else
-    the last alone, from its first nonzero row.  For the remainder y,
-    exponent l of the block is adj[l] . y / D with D > 0, and y is
-    reached exactly when also checks . y = 0 for every row of checks
-    (one per other row of beta on which the block is not automatic)."""
-    block = [cols[j] for j in allowed[-2:]]
+    Cramer's rule: the last two when their columns have a nonzero 2x2
+    minor (on the first rows i1 < i2 that give one), else the last
+    alone, from its first nonzero row.  For the remainder y, exponent l
+    of the block is adj[l] . y / D with D > 0, and y is reached exactly
+    when also checks . y = 0 for every row of checks (one per other row
+    of beta on which the block is not automatic)."""
+    block = cols[-2:]
     pair = len(block) == 2 and next(
         ((i1, i2) for i1 in range(k) for i2 in range(i1 + 1, k)
          if block[0][i1] * block[1][i2] != block[0][i2] * block[1][i1]),
@@ -475,10 +434,9 @@ def _progression(P, Q, D):
     return t0, e
 
 
-def _enumerate_solutions(alpha_free, setup, allowed, find_one=False):
-    """All a in N^r supported on `allowed` with beta_free . a = alpha_free,
-    in ascending lexicographic order; with find_one, the first of them
-    alone.  Requires a pointed grading.
+def _enumerate_solutions(alpha_free, setup):
+    """All a in N^r with beta_free . a = alpha_free, in ascending
+    lexicographic order.  Requires a pointed grading.
 
     The trailing exponents are solved by Cramer's rule (`_solved_block`):
     the last two when their columns are independent, else the last.  The
@@ -491,56 +449,29 @@ def _enumerate_solutions(alpha_free, setup, allowed, find_one=False):
 
     The cap bounds the nodes of the search of every value of every
     exponent; the count (`_full_count`) stops as soon as it passes the
-    cap and raises CapExceededError before the search.  With find_one it depends on the
-    first solution, so it is taken after it, and the walk stops as soon
-    as the children of the nodes it enters pass the cap."""
-    w = positive_functional(setup)
-    if w is None:
-        raise ValidationError(
-            "grading is not pointed; monomial enumeration needs an explicit cap"
-        )
+    cap and raises CapExceededError before the search."""
+    w = _require_pointed(setup)
     k, r = setup.k, setup.r
-    weights = [
-        sum(w[i] * setup.beta_free[i][j] for i in range(k)) for j in range(r)
-    ]
     cols = [[row[j] for row in setup.beta_free] for j in range(r)]
-    allowed = sorted(allowed)
-    ws = [weights[j] for j in allowed]
+    ws = [sum(map(mul, w, col)) for col in cols]
     target = list(alpha_free)
-    budget = sum(wi * ai for wi, ai in zip(w, target))
+    budget = sum(map(mul, w, target))
     if budget < 0:
         return []
-    if not find_one:
-        _check_nodes(_full_count(ws, budget))
-    if not allowed:
-        return [] if any(target) else [(0,) * r]
+    if _full_count(ws, budget) > MONOMIAL_SEARCH_CAP:
+        raise CapExceededError(f"monomial search passed {MONOMIAL_SEARCH_CAP} nodes")
 
-    size, D, adj, checks = _solved_block(cols, allowed, k)
-    block = allowed[-size:]
-    lead = len(allowed) - size - 1  # the level of t; -1: none, the root solves
-    jt = allowed[lead] if lead >= 0 else -1
-    ct = cols[jt] if lead >= 0 else [0] * k
+    size, D, adj, checks = _solved_block(cols, k)
+    lead = r - size - 1  # the exponent t; -1: none, the root solves
+    ct = cols[lead] if lead >= 0 else [0] * k
     Q = [sum(map(mul, row, ct)) for row in adj]
     checks = [(row, sum(map(mul, row, ct))) for row in checks]
-    # the zeros after t (from the start when there is none), between the
-    # block columns and after them
-    ends = [jt + 1, *(j + 1 for j in block)]
-    gaps = [(0,) * (j - i) for i, j in zip(ends, [*block, r])]
-    a = [0] * r
+    a = [0] * max(lead, 0)  # the exponents before t
     out = []
-    entered = 1  # with find_one: the children of every node entered so far
-
-    def enter(top):
-        nonlocal entered
-        entered += top + 1
-        _check_nodes(entered)
 
     def solve(rem, bud):
         """The monomials of the node of t (the root when there is none)."""
-        top = bud // ws[max(lead, 0)]
-        if find_one:
-            enter(top)
-        lo, hi = 0, top if lead >= 0 else 0
+        lo, hi = 0, (bud // ws[lead] if lead >= 0 else 0)
         P = [sum(map(mul, row, rem)) for row in adj]
         for p, q in zip(P, Q):  # exponent l of the block is (p - t q) / D
             if q > 0:
@@ -567,49 +498,33 @@ def _enumerate_solutions(alpha_free, setup, allowed, find_one=False):
         first = lo + (t0 - lo) % e
         if first > hi:
             return
-        if find_one:
-            hi = first
         if lead < 0:  # t = 0 alone, and Q = 0
-            x = [p // D for p in P]
-            out.append((*gaps[0], x[0], *gaps[1]) if size == 1 else
-                       (*gaps[0], x[0], *gaps[1], x[1], *gaps[2]))
+            out.append(tuple(p // D for p in P))
             return
         ts = range(first, hi + 1, e)
         xs = [count((p - first * q) // D, -e * q // D) for p, q in zip(P, Q)]
-        head = tuple(a[:jt])
+        head = tuple(a)
         if size == 1:
-            g1, g2 = gaps
-            out.extend([(*head, t, *g1, x, *g2) for t, x in zip(ts, *xs)])
+            out.extend([(*head, t, x) for t, x in zip(ts, *xs)])
         else:
-            g1, g2, g3 = gaps
-            out.extend([(*head, t, *g1, x, *g2, y, *g3)
-                        for t, x, y in zip(ts, *xs)])
+            out.extend([(*head, t, x, y) for t, x, y in zip(ts, *xs)])
 
     def walk(pos, rem, bud):
         if pos == lead:
             solve(rem, bud)
             return
-        j, wj, col = allowed[pos], ws[pos], cols[allowed[pos]]
-        top = bud // wj
-        if find_one:
-            enter(top)
+        wj, col = ws[pos], cols[pos]
         rem = list(rem)
-        for v in range(top + 1):
-            a[j] = v
+        for v in range(bud // wj + 1):
+            a[pos] = v
             walk(pos + 1, rem, bud - v * wj)
-            if find_one and out:
-                break
             for i, b in enumerate(col):
                 rem[i] -= b
-        a[j] = 0
 
     if lead < 0:
         solve(target, budget)
     else:
         walk(0, target, budget)
-    if find_one:
-        _check_nodes(_first_count(ws, budget, [out[0][j] for j in allowed])
-                     if out else _full_count(ws, budget))
     return out
 
 
@@ -619,19 +534,35 @@ def monomial_basis(alpha: Degree, setup: ToricSetup):
     setup._require_degrees("monomial enumeration", alpha)
     key, cached = setup._monomial_cache
     if key != alpha.free:
-        cached = tuple(_enumerate_solutions(alpha.free, setup, range(setup.r)))
+        cached = tuple(_enumerate_solutions(alpha.free, setup))
         setup._monomial_cache = (alpha.free, cached)
     return list(cached)
 
 
 def in_semigroup_Khat(alpha: Degree, setup: ToricSetup) -> bool:
     """True iff for every maximal cone sigma there is a monomial of
-    degree alpha supported off sigma."""
+    degree alpha supported off sigma.
+
+    On a complete simplicial fan the degrees of the k rays off sigma are
+    a basis of A (x) Q, so the one candidate is the solution c of
+    B c = alpha, with B the k x k block of beta_free on those columns.
+    With U B V = S in Smith form, c is in N^k iff S_ii divides
+    (U alpha)_i for each i and c = V S^-1 U alpha >= 0."""
     setup._require_degrees("semigroup membership", alpha)
     if setup.max_cones is None:
         raise ValidationError("setup has no maximal cones")
+    _require_pointed(setup)
+    k = setup.k
     for cone in setup.max_cones:
-        allowed = [j for j in range(setup.r) if j not in cone]
-        if not _enumerate_solutions(alpha.free, setup, allowed, find_one=True):
+        off = [j for j in range(setup.r) if j not in cone]
+        B = [[row[j] for j in off] for row in setup.beta_free]
+        if len(off) != k or (res := intlin.snf(B)).rank < k:
+            raise ValidationError(
+                f"maximal cone {cone} does not leave k = {k} rays of independent degrees"
+            )
+        Ua = intlin.mat_vec(res.U, list(alpha.free))
+        if any(x % s for x, s in zip(Ua, res.diagonal)):
+            return False
+        if min(intlin.mat_vec(res.V, [x // s for x, s in zip(Ua, res.diagonal)])) < 0:
             return False
     return True

@@ -28,9 +28,13 @@ row-subset test in `torilat.lattice.is_dominating` replaced.
 Minimum distance: the search one projective message at a time that the
 batched search in `torilat.codes.minimum_distance` replaced.
 
-Monomial enumeration: the search that tries every value of the last
-exponent too, which `torilat.grading._enumerate_solutions` replaced by
-solving for it.
+Monomial enumeration: the search that tries every value of every
+exponent, which `torilat.grading._enumerate_solutions` replaced by
+solving for the trailing ones and listing the one before them as an
+arithmetic progression.  Run on the columns off a maximal cone, it is
+also the definition of membership in K-hat that
+`torilat.grading.in_semigroup_Khat` replaced by one k x k solve per
+cone, and, with find_one, the semigroup comparison of degrees below.
 
 Points and binomials: the identity point of the torus, the value of a
 binomial at a point and the discrete log of a field element, which only
@@ -52,7 +56,6 @@ import numpy as np
 from torilat import intlin
 from torilat.errors import ValidationError
 from torilat.grading import (
-    _enumerate_solutions,
     degree_of,
     monomial_basis,
     positive_functional,
@@ -434,7 +437,7 @@ def monomials_by_full_search(alpha_free, setup, allowed, find_one=False,
     w = positive_functional(setup)
     if w is None:
         raise ValidationError(
-            "grading is not pointed; monomial enumeration needs an explicit cap"
+            "grading is not pointed: a nonconstant monomial has degree 0"
         )
     weights = [
         sum(w[i] * setup.beta_free[i][j] for i in range(setup.k))
@@ -478,6 +481,18 @@ def monomials_by_full_search(alpha_free, setup, allowed, find_one=False,
     return out, nodes
 
 
+def in_khat_by_search(alpha_free, setup):
+    """alpha lies in K-hat iff for every maximal cone some monomial of
+    degree alpha is supported off it: one search per cone."""
+    return all(
+        monomials_by_full_search(
+            alpha_free, setup, [j for j in range(setup.r) if j not in cone],
+            find_one=True,
+        )[0]
+        for cone in setup.max_cones
+    )
+
+
 # injectivity on degenerate tori ---------------------------------------
 
 
@@ -494,7 +509,8 @@ def degree_leq(alpha, alpha2, setup):
     i.e. some monomial has degree alpha2 - alpha."""
     setup._require_degrees("semigroup comparison", alpha, alpha2)
     diff = [y - x for x, y in zip(alpha.free, alpha2.free)]
-    return bool(_enumerate_solutions(diff, setup, range(setup.r), find_one=True))
+    mons, _ = monomials_by_full_search(diff, setup, range(setup.r), find_one=True)
+    return bool(mons)
 
 
 def injectivity_check(a, h, alpha, setup):

@@ -475,10 +475,12 @@ class TestInputContract:
             ("torus-ideal", with_leaf(H2_DOC, ["variety", "beta"], [1, -2]), [],
              "variety.beta"),
             ("torus-ideal", with_leaf(H2_DOC, ["task"], [1]), [], "'task'"),
+            # a row of no coordinates once vanished in the transpose
+            ("ci-check", {"task": {"matrix": [[]]}}, [], "must not be empty"),
         ],
         ids=["h_str", "alpha_flag", "point_str", "float_ray", "top_level_list",
              "q_bool", "q_float", "alpha_str", "a_bool", "beta_flat",
-             "task_list"],
+             "task_list", "ci_empty_row"],
     )
     def test_exit_2(self, capsys, tmp_path, command, doc, extra, message):
         f = tmp_path / "bad.json"

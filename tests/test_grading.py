@@ -2,11 +2,11 @@
 
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import oracles
@@ -303,8 +303,8 @@ class TestMonomialBasis:
         alpha = degree_of([d] * setup.r, setup)
         with pytest.raises(CapExceededError):
             monomial_basis(alpha, setup)
-        with pytest.raises(CapExceededError):
-            in_semigroup_Khat(alpha, setup)
+        # d times the anticanonical degree: a monomial off every cone
+        assert in_semigroup_Khat(alpha, setup)
 
     @pytest.mark.parametrize("weights, d", [
         ((10**6, 10**6 + 1, 1), 3 * 10**9),
@@ -357,9 +357,7 @@ def searches(draw):
     alpha = tuple(
         draw(hst.lists(hst.integers(-3, 14), min_size=setup.k, max_size=setup.k))
     )
-    keep = draw(hst.lists(hst.booleans(), min_size=setup.r, max_size=setup.r))
-    allowed = [j for j in range(setup.r) if keep[j]]
-    return setup, alpha, allowed, draw(hst.booleans())
+    return setup, alpha
 
 
 @settings(max_examples=300, deadline=None)
@@ -367,14 +365,14 @@ def searches(draw):
 def test_enumeration_matches_full_search(case):
     """Same monomials in the same order, and the cap trips at the same
     node, as the search over every value of every exponent."""
-    setup, alpha, allowed, find_one = case
-    want, nodes = oracles.monomials_by_full_search(alpha, setup, allowed, find_one)
+    setup, alpha = case
+    want, nodes = oracles.monomials_by_full_search(alpha, setup, range(setup.r))
     with mock.patch.object(grading, "MONOMIAL_SEARCH_CAP", nodes):
-        assert grading._enumerate_solutions(alpha, setup, allowed, find_one) == want
+        assert grading._enumerate_solutions(alpha, setup) == want
     if nodes > 1:  # the root is counted but never checked against the cap
         with mock.patch.object(grading, "MONOMIAL_SEARCH_CAP", nodes - 1):
             with pytest.raises(CapExceededError):
-                grading._enumerate_solutions(alpha, setup, allowed, find_one)
+                grading._enumerate_solutions(alpha, setup)
 
 
 @hst.composite
@@ -382,30 +380,28 @@ def deep_searches(draw):
     """Degrees up to 40, whose searches run to millions of nodes, a cap
     that the search may pass at any node, and the values the count may
     keep: few enough, at times, that it cannot read a table."""
-    setup, _, allowed, find_one = draw(searches())
+    setup, _ = draw(searches())
     alpha = tuple(
         draw(hst.lists(hst.integers(0, 40), min_size=setup.k, max_size=setup.k))
     )
     memo = draw(hst.sampled_from([grading._COUNT_MEMO, 0, 3, 50]))
-    return setup, alpha, allowed, find_one, draw(hst.integers(1, 20_000)), memo
+    return setup, alpha, draw(hst.integers(1, 20_000)), memo
 
 
 @settings(max_examples=200, deadline=None)
 @given(deep_searches())
 def test_cap_trips_where_the_full_search_passes_it(case):
     """The cap trips exactly when the full search passes it, however
-    deep; with find_one, after the children of the nodes before the
-    first solution."""
-    setup, alpha, allowed, find_one, cap, memo = case
-    want, _ = oracles.monomials_by_full_search(alpha, setup, allowed,
-                                               find_one, limit=cap)
+    deep."""
+    setup, alpha, cap, memo = case
+    want, _ = oracles.monomials_by_full_search(alpha, setup, range(setup.r),
+                                               limit=cap)
     with mock.patch.multiple(grading, MONOMIAL_SEARCH_CAP=cap, _COUNT_MEMO=memo):
         if want is None:
             with pytest.raises(CapExceededError):
-                grading._enumerate_solutions(alpha, setup, allowed, find_one)
+                grading._enumerate_solutions(alpha, setup)
         else:
-            assert grading._enumerate_solutions(alpha, setup, allowed,
-                                                find_one) == want
+            assert grading._enumerate_solutions(alpha, setup) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -422,13 +418,35 @@ def test_count_without_a_table_reads_the_table(ws, budget, memo):
                 assert below(i, c, 10**9) == table[i][c]
 
 
+def all_cones(r, size):
+    return [list(c) for c in combinations(range(r), size)]
+
+
+# complete simplicial fans with their maximal cones
+COMPLETE = {
+    "h2": make_h2(),
+    "h3": make_h2(ell=3),
+    "blowup": setup_from_rays([[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]], 11,
+                              [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]),
+    "p2": setup_from_beta([[1, 1, 1]], 11, all_cones(3, 2)),
+    "p3": setup_from_beta([[1, 1, 1, 1]], 11, all_cones(4, 3)),
+    "p1113": setup_from_beta([[1, 1, 1, 3]], 11, all_cones(4, 3)),
+}
+
+
+@hst.composite
+def khat_degrees(draw):
+    setup = COMPLETE[draw(hst.sampled_from(sorted(COMPLETE)))]
+    alpha = draw(hst.lists(hst.integers(-6, 30), min_size=setup.k, max_size=setup.k))
+    return setup, tuple(alpha)
+
+
 @settings(max_examples=300, deadline=None)
-@given(hst.integers(0, 60), hst.integers(1, 50), hst.integers(0, 200),
-       hst.integers(0, 200))
-@example(0, 7, 9, 12)
-@example(5, 3, 10, 8)
-def test_floor_sum_matches_the_plain_sum(n, m, a, c):
-    assert grading._floor_sum(n, m, a, c) == sum((a * i + c) // m for i in range(n))
+@given(khat_degrees())
+def test_khat_matches_a_search_per_cone(case):
+    setup, alpha = case
+    assert in_semigroup_Khat(Degree(free=alpha), setup) == oracles.in_khat_by_search(
+        alpha, setup)
 
 
 class TestSemigroupMembership:
@@ -441,6 +459,44 @@ class TestSemigroupMembership:
         st = setup_from_beta([[1, 1, 1, 3]], 11)
         with pytest.raises(ValidationError):
             in_semigroup_Khat(Degree(free=(1,)), st)
+
+    @pytest.mark.parametrize("cones, message", [
+        ([[0, 1, 2]], r"cone \[0, 1, 2\] does not leave k = 1 rays"),
+        ([[0], [1], [2]], r"cone \[0\] does not leave k = 1 rays"),
+    ], ids=["none_left", "two_left"])
+    def test_cone_must_leave_k_rays(self, cones, message):
+        st = setup_from_beta([[1, 1, 1]], 11, cones)
+        with pytest.raises(ValidationError, match=message):
+            in_semigroup_Khat(Degree(free=(1,)), st)
+
+    def test_rays_off_a_cone_must_be_independent(self):
+        # the columns off the cone [1, 3] are (1, 0) twice
+        with pytest.raises(ValidationError, match=r"cone \[1, 3\]"):
+            in_semigroup_Khat(Degree(free=(1, 1)), ToricSetup(
+                [[1, 0], [0, 1], [-1, 2], [0, -1]], [[1, -2, 1, 0], [0, 1, 0, 1]],
+                [], 11, [[0, 1], [1, 3]]))
+
+    def test_grading_must_be_pointed(self):
+        st = setup_from_beta([[1, -1]], 11, [[0], [1]])
+        with pytest.raises(ValidationError, match="not pointed"):
+            in_semigroup_Khat(Degree(free=(1,)), st)
+
+    @pytest.mark.parametrize("name, alpha, want", [
+        ("h2", (10**6, 10**6), True),
+        ("h2", (10**30, 10**30), True),
+        ("h2", (10**30, -1), False),
+        # the ray off the cone {0, 1, 2} has degree 3: K-hat is 3N
+        ("p1113", (10**6,), False),
+        ("p1113", (3 * 10**6,), True),
+        ("p1113", (10**30,), False),
+        ("p1113", (3 * 10**30,), True),
+    ])
+    def test_huge_degrees_need_no_count(self, monkeypatch, name, alpha, want):
+        def refuse(*args):
+            raise AssertionError("monomial search counted")
+
+        monkeypatch.setattr(grading, "_full_count", refuse)
+        assert in_semigroup_Khat(Degree(free=alpha), COMPLETE[name]) is want
 
 
 class TestRightInverse:
