@@ -2,11 +2,13 @@
 
 Evaluation matrices over F_q, code dimension via the multigraded
 Hilbert function (a count of monomial classes on a subgroup, a rank
-elsewhere), length, Hilbert tables, injectivity of evaluation on a
-degenerate torus, and an exhaustive minimum-distance search in batches,
-over one message per orbit on a subgroup.  All field arithmetic is exact
-modular arithmetic: numpy carries int64 residues, and in the distance
-search the narrowest unsigned ones that hold the values exactly.
+elsewhere), length, Hilbert tables (where a cell one degree of a
+variable above a cell of value |Y| is |Y| with no monomial listed),
+injectivity of evaluation on a degenerate torus, and an exhaustive
+minimum-distance search in batches, over one message per orbit on a
+subgroup.  All field arithmetic is exact modular arithmetic: numpy
+carries int64 residues, and in the distance search the narrowest
+unsigned ones that hold the values exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import CapExceededError, ValidationError
 from .gfield import PrimeField
-from .grading import Degree, ToricSetup, monomial_basis
+from .grading import Degree, ToricSetup, monomial_basis, positive_functional
 from .torus import PointSet, degenerate_torus
 
 DEFAULT_MESSAGE_CAP = 10**6
@@ -77,8 +79,9 @@ def _code(Y: PointSet, alpha: Degree, setup: ToricSetup):
     of x^a is the character s -> eta^{(a - a0) . s} of Y, fixed by its
     values on `Y.basis_reps`: its row of `labels`.  Distinct characters
     are independent (Dedekind), so k counts distinct label rows and one
-    monomial per class spans the code; no point is read until
-    generator() runs.  Other sets take a rank, and labels is None."""
+    monomial per class spans the code: the first of each, the classes
+    in the order first met.  No point is read until generator() runs.
+    Other sets take a rank, and labels is None."""
     if not Y.is_group:
         mat, _, a0 = evaluation_matrix(Y, alpha, setup)
         basis = row_space_basis(mat, setup.q)
@@ -87,7 +90,10 @@ def _code(Y: PointSet, alpha: Degree, setup: ToricSetup):
     if not mons:
         return 0, None, None, None
     labels = _exponents(mons, Y.basis_reps, setup.q)
-    first = np.sort(np.unique(labels, axis=0, return_index=True)[1])
+    seen = {}  # label row -> index of its first monomial
+    for i, row in enumerate(map(tuple, labels.tolist())):
+        seen.setdefault(row, i)
+    first = list(seen.values())
     classes = [mons[i] for i in first]
     return (len(classes), mons[0], lambda: _evaluate(classes, Y, setup),
             labels[first])
@@ -136,16 +142,31 @@ def hilbert_function(Y: PointSet, alpha: Degree, setup: ToricSetup) -> int:
 
 def hilbert_table(Y: PointSet, first_values, second_values, setup: ToricSetup):
     """grid[j][i] = hilbert_function(Y, (first_values[i], second_values[j]))
-    for a rank-2 free grading."""
+    for a rank-2 free grading.
+
+    Once H(alpha) = |Y|, H(alpha + deg(x_j)) = |Y|: x_j has no zero on
+    the torus, so multiplying by it maps the functions on Y onto
+    themselves, and the degree-alpha piece into the degree
+    alpha + deg(x_j) piece.  So the cells are visited in increasing
+    w . alpha (w the positive functional), and a cell alpha with a cell
+    alpha - deg(x_j) of value |Y| gets |Y| without listing a monomial;
+    the monomial cap applies only to the cells whose monomials are
+    listed.  A grading with no positive functional keeps the order of
+    the grid, row by row."""
     if setup.k != 2 or setup.torsion:
         raise ValidationError("hilbert_table expects a free rank-2 grading")
-    return [
-        [
-            hilbert_function(Y, Degree(free=(a, b)), setup)
-            for a in first_values
-        ]
-        for b in second_values
-    ]
+    cells = list(dict.fromkeys((a, b) for b in second_values for a in first_values))
+    w = positive_functional(setup)
+    if w is not None:
+        cells.sort(key=lambda c: w[0] * c[0] + w[1] * c[1])
+    steps = list(zip(*setup.beta_free))  # deg(x_j)
+    full, value = len(Y), {}
+    for a, b in cells:
+        if any(value.get((a - x, b - y)) == full for x, y in steps):
+            value[a, b] = full
+        else:
+            value[a, b] = hilbert_function(Y, Degree(free=(a, b)), setup)
+    return [[value[a, b] for a in first_values] for b in second_values]
 
 
 def injectivity_exact(a, h, alpha: Degree, setup: ToricSetup) -> bool:

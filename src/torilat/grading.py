@@ -61,6 +61,8 @@ class ToricSetup:
         self._validate()
         self._right_inverse = None
         self._functional = "unset"
+        # what `_enumerate_solutions` needs beyond the degree (`_plan`)
+        self._plan = None
         # (degree, tuple of monomials) of the last enumeration: a Hilbert
         # value by rank and by coset count at one degree enumerate it once
         self._monomial_cache = (None, None)
@@ -366,7 +368,7 @@ def _counter(ws, budget):
 def _full_count(ws, budget):
     """Nodes of the whole search from a root of budget >= 0: 1 + T_0(b),
     or a number past the cap once the count passes it."""
-    return 1 + _counter(ws, budget)(0, budget, MONOMIAL_SEARCH_CAP - 1) if ws else 1
+    return 1 + _counter(ws, budget)(0, budget, MONOMIAL_SEARCH_CAP - 1)
 
 
 # Enumeration ------------------------------------------------------------
@@ -434,6 +436,28 @@ def _progression(P, Q, D):
     return t0, e
 
 
+def _plan(setup):
+    """(w, cols, ws, size, D, adj, lead, Q, checks) of a pointed grading:
+    what `_enumerate_solutions` needs beyond the degree, built once per
+    setup.  w is the positive functional, cols the columns of beta_free
+    and ws their weights w . deg(x_j); (size, D, adj) is the solved block
+    (`_solved_block`), lead the index of the exponent t just before it
+    (-1: none, the root solves), Q the block's slopes in t, and checks
+    pairs each check row with its slope in t."""
+    if setup._plan is None:
+        w = _require_pointed(setup)
+        k, r = setup.k, setup.r
+        cols = [[row[j] for row in setup.beta_free] for j in range(r)]
+        ws = [sum(map(mul, w, col)) for col in cols]
+        size, D, adj, checks = _solved_block(cols, k)
+        lead = r - size - 1
+        ct = cols[lead] if lead >= 0 else [0] * k
+        Q = [sum(map(mul, row, ct)) for row in adj]
+        checks = [(row, sum(map(mul, row, ct))) for row in checks]
+        setup._plan = (w, cols, ws, size, D, adj, lead, Q, checks)
+    return setup._plan
+
+
 def _enumerate_solutions(alpha_free, setup):
     """All a in N^r with beta_free . a = alpha_free, in ascending
     lexicographic order.  Requires a pointed grading.
@@ -445,27 +469,18 @@ def _enumerate_solutions(alpha_free, setup):
     degree form an arithmetic progression in an interval: integrality is
     a congruence modulo D, nonnegativity gives the interval, and any
     other row of beta fixes t or rules it out.  Each such t gives one
-    monomial.
+    monomial.  What depends on the setup alone is read from `_plan`.
 
     The cap bounds the nodes of the search of every value of every
     exponent; the count (`_full_count`) stops as soon as it passes the
     cap and raises CapExceededError before the search."""
-    w = _require_pointed(setup)
-    k, r = setup.k, setup.r
-    cols = [[row[j] for row in setup.beta_free] for j in range(r)]
-    ws = [sum(map(mul, w, col)) for col in cols]
+    w, cols, ws, size, D, adj, lead, Q, checks = _plan(setup)
     target = list(alpha_free)
     budget = sum(map(mul, w, target))
     if budget < 0:
         return []
     if _full_count(ws, budget) > MONOMIAL_SEARCH_CAP:
         raise CapExceededError(f"monomial search passed {MONOMIAL_SEARCH_CAP} nodes")
-
-    size, D, adj, checks = _solved_block(cols, k)
-    lead = r - size - 1  # the exponent t; -1: none, the root solves
-    ct = cols[lead] if lead >= 0 else [0] * k
-    Q = [sum(map(mul, row, ct)) for row in adj]
-    checks = [(row, sum(map(mul, row, ct))) for row in checks]
     a = [0] * max(lead, 0)  # the exponents before t
     out = []
 

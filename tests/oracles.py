@@ -36,6 +36,10 @@ also the definition of membership in K-hat that
 `torilat.grading.in_semigroup_Khat` replaced by one k x k solve per
 cone, and, with find_one, the semigroup comparison of degrees below.
 
+Classes of monomials on a subgroup: the listing by `np.unique` of the
+distinct character labels that `torilat.codes._code` replaced with a
+first-seen dict.
+
 Points and binomials: the identity point of the torus, the value of a
 binomial at a point and the discrete log of a field element, which only
 the tests read.
@@ -491,6 +495,15 @@ def in_khat_by_search(alpha_free, setup):
         )[0]
         for cone in setup.max_cones
     )
+
+
+# classes of monomials on a subgroup -----------------------------------
+
+
+def first_of_each_class(labels):
+    """The index of the first row of each distinct row of `labels`, in the
+    order the distinct rows are first met."""
+    return np.sort(np.unique(labels, axis=0, return_index=True)[1])
 
 
 # injectivity on degenerate tori ---------------------------------------

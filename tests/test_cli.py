@@ -542,6 +542,22 @@ class TestMonomialSearchCap:
         assert out == ""
         assert "monomial search" in err
 
+    def test_saturated_cell_past_the_cap(self, capsys, tmp_path):
+        # (33, 33) is past the monomial cap, but follows from (32, 33),
+        # whose value is already |Y| = 50: the table gives it exactly
+        doc = load_json("h2_q11.json")
+        doc["task"].update(alpha1_values=[32, 33], alpha2_values=[33])
+        f = tmp_path / "saturated.json"
+        f.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "hilbert-table", str(f))
+        assert code == 0
+        assert json.loads(out)["grid"] == [[50, 50]]
+        code, out, err = run(capsys, "code", problem_path("h2_q11.json"),
+                             "--alpha", "33,33")
+        assert code == 3
+        assert out == ""
+        assert "monomial search" in err
+
 
 EMPTY_FAN_DOC = {
     "variety": {"rays": []},

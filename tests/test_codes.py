@@ -12,8 +12,8 @@ from hypothesis import strategies as hst
 import oracles
 from conftest import load_json, make_h2
 from oracles import degree_leq, injectivity_certified, injectivity_check
-from test_torus import draw_subgroup, setup_for, setups
-from torilat import cli, codes
+from test_torus import FIELDS, draw_subgroup, setup_for, setups
+from torilat import cli, codes, grading
 from torilat.codes import (
     code_parameters,
     evaluation_matrix,
@@ -30,6 +30,7 @@ from torilat.grading import (
     degree_of,
     in_semigroup_Khat,
     monomial_basis,
+    setup_from_beta,
     setup_from_rays,
 )
 from torilat.lattice import degenerate_lattice, hilbert_of_lattice
@@ -161,6 +162,111 @@ class TestHilbert:
         with pytest.raises(ValidationError):
             hilbert_table(Y, [0], [0], p113)
 
+    def test_table_builds_the_enumeration_plan_once(self, monkeypatch):
+        # the solved block, the weights and the slopes depend on the setup
+        # alone: the 6 x 18 table builds them once, not once per cell
+        built = []
+        solved_block = grading._solved_block
+
+        def counting(*args):
+            built.append(args)
+            return solved_block(*args)
+
+        monkeypatch.setattr(grading, "_solved_block", counting)
+        st = make_h2()
+        Y = degenerate_torus([5, 2, 5, 4], 10, st)[0]
+        fixture = load_json("hilbert_table_6x18.json")
+        grid = hilbert_table(Y, fixture["alpha1_values"],
+                             fixture["alpha2_values"], st)
+        assert grid == fixture["grid"]
+        assert len(built) == 1
+        # the plan serves every later degree of the setup
+        for alpha in [(-1, 0), (0, 0), (3, 2), (-2, 4), (12, 5), (0, 9)]:
+            want, _ = oracles.monomials_by_full_search(alpha, st, range(st.r))
+            assert monomial_basis(Degree(free=alpha), st) == want
+        assert len(built) == 1
+
+    def test_saturated_cells_list_no_monomials(self, h2, y10, monkeypatch):
+        # 25 of the 108 cells of the 6 x 18 table follow from a cell of
+        # value |Y| = 10, one step deg(x_j) below them
+        cells = []
+        function = codes.hilbert_function
+
+        def counting(Y, alpha, setup):
+            cells.append(alpha.free)
+            return function(Y, alpha, setup)
+
+        monkeypatch.setattr(codes, "hilbert_function", counting)
+        fixture = load_json("hilbert_table_6x18.json")
+        assert hilbert_table(y10, fixture["alpha1_values"],
+                             fixture["alpha2_values"], h2) == fixture["grid"]
+        assert len(cells) == len(set(cells)) == 83
+        skipped = {(a, b) for a in fixture["alpha1_values"]
+                   for b in fixture["alpha2_values"]} - set(cells)
+        assert sum(len(monomial_basis(Degree(free=c), h2)) for c in skipped) == 1626
+
+    def test_saturated_cell_past_the_monomial_cap(self):
+        # (33, 33) is past the monomial cap, but (32, 33) has value |Y|
+        # and (33, 33) = (32, 33) + deg(x_1)
+        st = make_h2()
+        Y = zero_set_in_torus([[10, 0], [0, 5], [-10, 10], [0, -5]], st)
+        assert hilbert_table(Y, [32, 33], [33], st) == [[50, 50]]
+        with pytest.raises(CapExceededError):
+            hilbert_table(Y, [33], [33], st)
+
+    def test_table_of_a_grading_that_is_not_pointed(self):
+        # no positive functional orders the cells: the first cell raises
+        # as it did before the cells were ordered
+        st = setup_from_beta([[1, -1, 0, 0], [0, 0, 1, 1]], 11)
+        Y = all_torus_points(st)
+        with pytest.raises(ValidationError, match="not pointed"):
+            hilbert_table(Y, [0, 1], [0], st)
+
+
+def table_degrees(data):
+    """The first and second values of a table, each a shuffled run of
+    consecutive integers, so that the steps deg(x_j) join its cells."""
+    a0, b0 = data.draw(hst.integers(-4, 8)), data.draw(hst.integers(0, 5))
+    first = data.draw(hst.permutations(range(a0, a0 + data.draw(hst.integers(1, 6)))))
+    second = data.draw(hst.permutations(range(b0, b0 + data.draw(hst.integers(1, 4)))))
+    return first, second
+
+
+class TestSaturatedTable:
+    """hilbert_table gives a cell |Y| without listing its monomials when
+    a cell one step deg(x_j) below it has that value; cell by cell, every
+    value stays what hilbert_function and the oracles give."""
+
+    @given(hst.sampled_from(FIELDS), hst.data())
+    @settings(max_examples=60, deadline=None)
+    def test_subgroups(self, q, data):
+        st = setup_for("h2", q)
+        Y = draw_subgroup(st, data)
+        first, second = table_degrees(data)
+        grid = hilbert_table(Y, first, second, st)
+        L = vanishing_lattice(Y, st)
+        for row, b in zip(grid, second):
+            for value, a in zip(row, first):
+                alpha = Degree(free=(a, b))
+                assert value == hilbert_function(Y, alpha, st)
+                assert value == hilbert_of_lattice(L, alpha, st)
+
+    @given(hst.data())
+    @settings(max_examples=30, deadline=None)
+    def test_point_set_of_no_subgroup(self, h2, data):
+        # three points, no subgroup: the rank path saturates at 3
+        Y = PointSet([oracles.identity_point(h2), point_from_rep([1, 0, 0, 0], h2),
+                      point_from_rep([0, 3, 1, 0], h2)])
+        assert not Y.is_group
+        first, second = table_degrees(data)
+        grid = hilbert_table(Y, first, second, h2)
+        for row, b in zip(grid, second):
+            for value, a in zip(row, first):
+                alpha = Degree(free=(a, b))
+                assert value == hilbert_function(Y, alpha, h2)
+                mat = evaluation_matrix(Y, alpha, h2)[0]
+                assert value == oracles.rank_mod_q(mat.tolist(), h2.q)
+
 
 class TestOracleEquivalence:
     def test_published_cases(self, h2):
@@ -181,11 +287,7 @@ class TestOracleEquivalence:
         # evaluation matrix, the coset count modulo L(Y) and the search
         # on an echelon basis are its oracles
         Y = draw_subgroup(st, data)
-        if st.k == 2:
-            alpha = Degree(free=(data.draw(hst.integers(-4, 12)),
-                                 data.draw(hst.integers(0, 6))))
-        else:
-            alpha = Degree(free=(data.draw(hst.integers(0, 12)),))
+        alpha = draw_degree(st, data)
         q = st.q
         k = hilbert_function(Y, alpha, st)
         assert "_arrays" not in vars(Y)
@@ -202,6 +304,33 @@ class TestOracleEquivalence:
         if (q**k - 1) // (q - 1) <= 10**4:
             cs = code_parameters(Y, alpha, st, compute_d=True, cap=10**4)
             assert cs.d == minimum_distance(row_space_basis(mat, q), q)
+
+    @given(setups, hst.data())
+    @settings(max_examples=80, deadline=None)
+    def test_classes_in_the_order_first_met(self, st, data):
+        # the first-seen listing gives the classes of the listing by
+        # np.unique, in the same order and with the same labels
+        Y = draw_subgroup(st, data)
+        alpha = draw_degree(st, data)
+        k, _, generator, got = codes._code(Y, alpha, st)
+        mons = monomial_basis(alpha, st)
+        if not mons:
+            assert k == 0
+            return
+        labels = codes._exponents(mons, Y.basis_reps, st.q)
+        first = oracles.first_of_each_class(labels)
+        assert k == len(first)
+        assert np.array_equal(got, labels[first])
+        assert np.array_equal(
+            generator(), codes._evaluate([mons[i] for i in first], Y, st)
+        )
+
+
+def draw_degree(st, data):
+    if st.k == 2:
+        return Degree(free=(data.draw(hst.integers(-4, 12)),
+                            data.draw(hst.integers(0, 6))))
+    return Degree(free=(data.draw(hst.integers(0, 12)),))
 
 
 class TestDegreeLeq:
