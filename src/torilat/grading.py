@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from . import intlin
@@ -61,8 +60,10 @@ class ToricSetup:
         self._validate()
         self._right_inverse = None
         self._functional = "unset"
-        # what `_enumerate_solutions` needs beyond the degree (`_plan`)
+        # what `_enumerate_solutions` needs beyond the degree (`_plan`),
+        # and the node counts of the search over its weights (`_full_count`)
         self._plan = None
+        self._counts = None
         # (degree, tuple of monomials) of the last enumeration: a Hilbert
         # value by rank and by coset count at one degree enumerate it once
         self._monomial_cache = (None, None)
@@ -223,80 +224,86 @@ def is_homogeneous(L, setup: ToricSetup) -> bool:
 
 
 def _fm_find(cons, k):
-    """Find w in Q^k with c . w > 0 for every c in cons, or None.
+    """(v, D) with D > 0 and c . v > 0 for every c in cons, or None: the
+    w = v / D in Q^k of a homogeneous system of strict inequalities.
 
-    Fourier-Motzkin on a homogeneous system of strict inequalities.
+    Fourier-Motzkin, last variable first.  The elimination only
+    multiplies and subtracts, so the constraints stay integers.  The
+    back-substitution keeps the partial solution over one common
+    denominator, compares bounds by cross-multiplying, and sets the new
+    coordinate to lower + 1, upper - 1 or the midpoint of the two.
     """
-    cons = [tuple(Fraction(x) for x in c) for c in cons]
     if k == 0:
-        return [] if not cons else None
+        return ([], 1) if not cons else None
     pos = [c for c in cons if c[k - 1] > 0]
     neg = [c for c in cons if c[k - 1] < 0]
-    zero = [c[: k - 1] for c in cons if c[k - 1] == 0]
-    combined = list(zero)
+    combined = [c[: k - 1] for c in cons if c[k - 1] == 0]
     for p in pos:
         for m in neg:
             # eliminate w_{k-1}: rest_m * p_k + rest_p * (-m_k) > 0
-            combined.append(
-                tuple(
-                    m[i] * p[k - 1] + p[i] * (-m[k - 1]) for i in range(k - 1)
-                )
-            )
+            pk, mk = p[k - 1], m[k - 1]
+            combined.append(tuple(m[i] * pk - p[i] * mk for i in range(k - 1)))
     # an all-zero combined constraint reads 0 > 0: infeasible
-    cleaned = []
-    for c in combined:
-        if not any(c):
-            return None
-        cleaned.append(c)
-    rest = _fm_find(cleaned, k - 1)
-    if rest is None:
+    if not all(map(any, combined)):
         return None
-    lower = None
-    upper = None
+    found = _fm_find(combined, k - 1)
+    if found is None:
+        return None
+    v, D = found
+    # c . (v / D, x) > 0 bounds x by -(c[:k-1] . v) / (D c_k), kept as
+    # (numerator, denominator > 0); map stops at the end of v
+    lower = upper = None
     for c in pos:
-        val = -sum(ci * wi for ci, wi in zip(c[: k - 1], rest)) / c[k - 1]
-        lower = val if lower is None else max(lower, val)
+        num, den = -sum(map(mul, c, v)), D * c[k - 1]
+        if lower is None or num * lower[1] > lower[0] * den:
+            lower = (num, den)
     for c in neg:
-        val = -sum(ci * wi for ci, wi in zip(c[: k - 1], rest)) / c[k - 1]
-        upper = val if upper is None else min(upper, val)
+        num, den = sum(map(mul, c, v)), -D * c[k - 1]
+        if upper is None or num * upper[1] < upper[0] * den:
+            upper = (num, den)
     if lower is None and upper is None:
-        w = Fraction(1)
+        x, d = 1, 1
     elif upper is None:
-        w = lower + 1
+        x, d = lower[0] + lower[1], lower[1]
     elif lower is None:
-        w = upper - 1
+        x, d = upper[0] - upper[1], upper[1]
     else:
-        if lower >= upper:
+        (ln, ld), (un, ud) = lower, upper
+        if ln * ud >= un * ld:
             return None  # cannot happen if FM is consistent
-        w = (lower + upper) / 2
-    return rest + [w]
+        x, d = ln * ud + un * ld, 2 * ld * ud
+    v = [a * d for a in v] + [x * D]
+    D *= d
+    g = gcd(D, *v)
+    return [a // g for a in v], D // g
 
 
 def positive_functional(setup: ToricSetup):
     """Integer w with w . deg(x_j) > 0 for all j, or None if the degree
-    semigroup is not pointed.  Computed on the free part of the grading."""
+    semigroup is not pointed.  Computed on the free part of the grading.
+
+    w is the primitive integer vector on the ray of the Fourier-Motzkin
+    solution (`_fm_find`): its integer numerators divided by their gcd.
+    It is cached on the setup, and checked against every column before
+    it is handed out."""
     if setup._functional != "unset":
         w = setup._functional
         return None if w is None else list(w)
     if setup.k == 0:
         setup._functional = None
         return None
-    cons = [tuple(setup.beta_free[i][j] for i in range(setup.k)) for j in range(setup.r)]
-    w = _fm_find(cons, setup.k)
-    if w is None:
+    cons = list(zip(*setup.beta_free))
+    found = _fm_find(cons, setup.k)
+    if found is None:
         setup._functional = None
         return None
-    denom = lcm(*(f.denominator for f in w)) if w else 1
-    wi = [int(f * denom) for f in w]
-    g = gcd(*(abs(x) for x in wi)) or 1
-    wi = [x // g for x in wi]
-    if any(
-        sum(wi[i] * setup.beta_free[i][j] for i in range(setup.k)) <= 0
-        for j in range(setup.r)
-    ):
+    v, _ = found
+    g = gcd(*v) or 1
+    w = [x // g for x in v]
+    if any(sum(map(mul, w, c)) <= 0 for c in cons):
         raise InternalError("positive functional verification failed")
-    setup._functional = tuple(wi)
-    return wi
+    setup._functional = tuple(w)
+    return w
 
 
 # Node counts of the full search ---------------------------------------
@@ -326,16 +333,12 @@ def _counter(ws, budget):
     level-i node of budget c, or a number past `limit` once the count
     passes it.
 
-    Read from `_count_table` when it holds at most _COUNT_MEMO values.
-    Otherwise T_i is summed by the same recurrence up one residue class
-    of c modulo w_i at a time (known[i][c % w_i] lists T_i at c % w_i,
-    c % w_i + w_i, ...), with T_{m-1}(c) = c // w + 1.  Each step adds
-    at least one node, so the work stops as soon as the count passes
-    the limit, and at most _COUNT_MEMO values are kept, however large
-    the budget and the weights."""
-    if (len(ws) + 1) * (budget + 1) <= _COUNT_MEMO:
-        table = _count_table(ws, budget)
-        return lambda i, c, limit: table[i][c]
+    T_i is summed by the recurrence of `_count_table` up one residue
+    class of c modulo w_i at a time (known[i][c % w_i] lists T_i at
+    c % w_i, c % w_i + w_i, ...), with T_{m-1}(c) = c // w + 1.  Each
+    step adds at least one node, so the work stops as soon as the count
+    passes the limit, and at most _COUNT_MEMO values are kept, however
+    large the budget and the weights."""
     last = len(ws) - 1
     known, room = [{} for _ in ws], _COUNT_MEMO
 
@@ -365,10 +368,24 @@ def _counter(ws, budget):
     return below
 
 
-def _full_count(ws, budget):
-    """Nodes of the whole search from a root of budget >= 0: 1 + T_0(b),
-    or a number past the cap once the count passes it."""
-    return 1 + _counter(ws, budget)(0, budget, MONOMIAL_SEARCH_CAP - 1)
+def _full_count(setup, budget):
+    """Nodes of the whole search from a root of budget >= 0 over the
+    weights ws of `_plan`: 1 + T_0(b), or a number past the cap once the
+    count passes it.
+
+    A budget whose table holds at most _COUNT_MEMO values is read from
+    the setup's one table, which is rebuilt at least twice as wide, up
+    to that many values, when a budget passes its end.  Larger budgets
+    are summed by `_counter`."""
+    ws = _plan(setup)[2]
+    width = _COUNT_MEMO // (len(ws) + 1)  # budgets 0 .. width - 1 fit
+    if budget >= width:
+        return 1 + _counter(ws, budget)(0, budget, MONOMIAL_SEARCH_CAP - 1)
+    table = setup._counts
+    if table is None or budget >= len(table[0]):
+        top = budget if table is None else max(budget, 2 * len(table[0]) - 1)
+        table = setup._counts = _count_table(ws, min(top, width - 1))
+    return 1 + table[0][budget]
 
 
 # Enumeration ------------------------------------------------------------
@@ -479,7 +496,7 @@ def _enumerate_solutions(alpha_free, setup):
     budget = sum(map(mul, w, target))
     if budget < 0:
         return []
-    if _full_count(ws, budget) > MONOMIAL_SEARCH_CAP:
+    if _full_count(setup, budget) > MONOMIAL_SEARCH_CAP:
         raise CapExceededError(f"monomial search passed {MONOMIAL_SEARCH_CAP} nodes")
     a = [0] * max(lead, 0)  # the exponents before t
     out = []

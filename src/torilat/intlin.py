@@ -5,11 +5,17 @@ cokernel structure.  Matrices are plain lists of rows of Python ints, so
 every operation is arbitrary precision; there is no overflow to guard
 against.  All functions treat their arguments as immutable and return
 fresh matrices.
+
+Each helper checks the shape of its arguments once per call, with
+`shape`.  The row and column helpers then walk the rows with `zip`, which
+stops at the shortest row without a word: a ragged matrix would be cut
+short, not rejected, if the check were left out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import InternalError, ValidationError
 
@@ -17,11 +23,9 @@ IntMatrix = list  # list[list[int]], rows of equal length
 
 
 def shape(M: IntMatrix) -> tuple[int, int]:
-    m = len(M)
-    n = len(M[0]) if m else 0
-    if any(len(row) != n for row in M):
+    if len(set(map(len, M))) > 1:
         raise ValidationError("ragged matrix")
-    return m, n
+    return len(M), len(M[0]) if M else 0
 
 
 def identity(n: int) -> IntMatrix:
@@ -33,8 +37,8 @@ def copy_matrix(M: IntMatrix) -> IntMatrix:
 
 
 def transpose(M: IntMatrix) -> IntMatrix:
-    m, n = shape(M)
-    return [[M[i][j] for i in range(m)] for j in range(n)]
+    shape(M)
+    return [list(col) for col in zip(*M)]
 
 
 def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
@@ -42,27 +46,25 @@ def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     mb, nb = shape(B)
     if na != mb:
         raise ValidationError(f"cannot multiply {ma}x{na} by {mb}x{nb}")
-    Bt = transpose(B) if mb else []
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+    Bt = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in Bt] for row in A]
 
 
 def mat_vec(M: IntMatrix, v: list) -> list:
-    m, n = shape(M)
+    _, n = shape(M)
     if len(v) != n:
         raise ValidationError("matrix/vector size mismatch")
-    return [sum(M[i][j] * v[j] for j in range(n)) for i in range(m)]
+    return [sum(map(mul, row, v)) for row in M]
 
 
 def columns(M: IntMatrix) -> list:
-    m, n = shape(M)
-    return [[M[i][j] for i in range(m)] for j in range(n)]
+    return transpose(M)
 
 
 def from_columns(cols: list, nrows: int | None = None) -> IntMatrix:
     if not cols:
         return [[] for _ in range(nrows or 0)]
-    m = len(cols[0])
-    return [[c[i] for c in cols] for i in range(m)]
+    return transpose(cols)
 
 
 def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:

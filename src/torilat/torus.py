@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, prod
+from operator import mul
 
 import numpy as np
 
@@ -161,9 +162,7 @@ def canonical_form(s, setup: ToricSetup):
     if len(s) != setup.r:
         raise ValidationError("exponent vector length != r")
     qm = setup.q - 1
-    return tuple(
-        v % qm for v in intlin.mat_vec(intlin.transpose(setup.phi), list(s))
-    )
+    return tuple(sum(map(mul, col, s)) % qm for col in zip(*setup.phi))
 
 
 def point_from_rep(s, setup: ToricSetup) -> TorusPoint:

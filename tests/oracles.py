@@ -28,6 +28,10 @@ row-subset test in `torilat.lattice.is_dominating` replaced.
 Minimum distance: the search one projective message at a time that the
 batched search in `torilat.codes.minimum_distance` replaced.
 
+Positive functional: Fourier-Motzkin elimination in `Fraction`s, which
+`torilat.grading.positive_functional` replaced with the same elimination
+in integers over one common denominator.
+
 Monomial enumeration: the search that tries every value of every
 exponent, which `torilat.grading._enumerate_solutions` replaced by
 solving for the trailing ones and listing the one before them as an
@@ -52,8 +56,9 @@ semigroup comparison of degrees that the last two read.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -421,6 +426,73 @@ def min_distance_by_messages(basis, q):
             if best == 1:
                 break
     return best
+
+
+# positive functional --------------------------------------------------
+
+
+def fm_find_by_fractions(cons, k):
+    """Find w in Q^k with c . w > 0 for every c in cons, or None.
+
+    Fourier-Motzkin on a homogeneous system of strict inequalities.
+    """
+    cons = [tuple(Fraction(x) for x in c) for c in cons]
+    if k == 0:
+        return [] if not cons else None
+    pos = [c for c in cons if c[k - 1] > 0]
+    neg = [c for c in cons if c[k - 1] < 0]
+    zero = [c[: k - 1] for c in cons if c[k - 1] == 0]
+    combined = list(zero)
+    for p in pos:
+        for m in neg:
+            # eliminate w_{k-1}: rest_m * p_k + rest_p * (-m_k) > 0
+            combined.append(
+                tuple(
+                    m[i] * p[k - 1] + p[i] * (-m[k - 1]) for i in range(k - 1)
+                )
+            )
+    # an all-zero combined constraint reads 0 > 0: infeasible
+    cleaned = []
+    for c in combined:
+        if not any(c):
+            return None
+        cleaned.append(c)
+    rest = fm_find_by_fractions(cleaned, k - 1)
+    if rest is None:
+        return None
+    lower = None
+    upper = None
+    for c in pos:
+        val = -sum(ci * wi for ci, wi in zip(c[: k - 1], rest)) / c[k - 1]
+        lower = val if lower is None else max(lower, val)
+    for c in neg:
+        val = -sum(ci * wi for ci, wi in zip(c[: k - 1], rest)) / c[k - 1]
+        upper = val if upper is None else min(upper, val)
+    if lower is None and upper is None:
+        w = Fraction(1)
+    elif upper is None:
+        w = lower + 1
+    elif lower is None:
+        w = upper - 1
+    else:
+        if lower >= upper:
+            return None  # cannot happen if FM is consistent
+        w = (lower + upper) / 2
+    return rest + [w]
+
+
+def positive_functional_by_fractions(beta_free):
+    """The primitive integer w of `fm_find_by_fractions` on the columns of
+    beta_free (k x r, k >= 1), or None when there is none."""
+    k, r = len(beta_free), len(beta_free[0])
+    cons = [tuple(beta_free[i][j] for i in range(k)) for j in range(r)]
+    w = fm_find_by_fractions(cons, k)
+    if w is None:
+        return None
+    denom = lcm(*(f.denominator for f in w))
+    wi = [int(f * denom) for f in w]
+    g = gcd(*(abs(x) for x in wi)) or 1
+    return [x // g for x in wi]
 
 
 # monomial enumeration -------------------------------------------------

@@ -3,7 +3,6 @@
 import copy
 import json
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -348,7 +347,7 @@ class TestOutputsAndErrors:
         assert err == f"error: subgroup has {1008**3} points, cap is 1000000\n"
 
     def test_failed_functional_check_exit_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(grading, "_fm_find", lambda cons, k: [Fraction(-1)] * k)
+        monkeypatch.setattr(grading, "_fm_find", lambda cons, k: ([-1] * k, 1))
         code, out, err = run(capsys, "degenerate-lattice", problem_path("h2_a2455.json"))
         assert (code, out) == (4, "")
         assert err == "internal error: positive functional verification failed\n"

@@ -1,5 +1,6 @@
 """Grading setup, degrees, homogeneity, monomial enumeration."""
 
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
@@ -10,8 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import oracles
-from conftest import make_h2, make_p113, rows_to_lattice
-from torilat import grading, intlin
+from conftest import load_json, make_h2, make_p113, rows_to_lattice
+from torilat import cli, grading, intlin
 from torilat.codes import hilbert_function
 from torilat.errors import CapExceededError, InternalError, ValidationError
 from torilat.grading import (
@@ -223,9 +224,57 @@ class TestPositiveFunctional:
     def test_failed_verification_is_an_internal_error(self, monkeypatch):
         # a functional that is not positive on every degree is a fault of
         # the elimination, not of the input
-        monkeypatch.setattr(grading, "_fm_find", lambda cons, k: [Fraction(-1)])
+        monkeypatch.setattr(grading, "_fm_find", lambda cons, k: ([-1] * k, 1))
         with pytest.raises(InternalError, match="verification failed"):
             positive_functional(make_p113())
+
+
+@hst.composite
+def surjective_betas(draw):
+    """beta: the first k rows of a unimodular r x r matrix built from
+    random row additions, so beta maps onto Z^k with independent rows;
+    2 <= r <= 7 and 1 <= k <= min(4, r - 1).  About a fifth of the
+    accepted gradings are pointed; the rest have no functional."""
+    r = draw(hst.integers(2, 7))
+    k = draw(hst.integers(1, min(4, r - 1)))
+    U = intlin.identity(r)
+    # few row additions leave coordinates that vanish on ker(beta)
+    for _ in range(draw(hst.integers(2 * r, 4 * r))):
+        i, j = draw(hst.lists(hst.integers(0, r - 1), min_size=2, max_size=2,
+                              unique=True))
+        c = draw(hst.sampled_from([-2, -1, 1, 2]))
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    return U[:k]
+
+
+@settings(max_examples=300, deadline=None)
+@given(surjective_betas())
+def test_positive_functional_matches_fraction_oracle(beta):
+    """The integer elimination gives the functional of the elimination in
+    Fractions, or None with it."""
+    try:
+        st = setup_from_beta(beta, 11)
+    except ValidationError:
+        # a coordinate that vanishes on ker(beta) gives a zero ray
+        assume(False)
+    assert positive_functional(st) == oracles.positive_functional_by_fractions(beta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.integers(1, 4).flatmap(lambda k: hst.lists(
+    hst.tuples(*[hst.integers(-4, 4)] * k), max_size=7).map(lambda c: (c, k))))
+def test_fm_find_matches_fraction_oracle(case):
+    """On any system, with zero and repeated constraints, the integer
+    elimination finds the Fraction oracle's w exactly: the same bounds,
+    the same midpoints, v / D = w."""
+    cons, k = case
+    want = oracles.fm_find_by_fractions(cons, k)
+    got = grading._fm_find(cons, k)
+    if want is None:
+        assert got is None
+    else:
+        v, D = got
+        assert D > 0 and [Fraction(x, D) for x in v] == want
 
 
 class TestMonomialBasis:
@@ -416,6 +465,56 @@ def test_count_without_a_table_reads_the_table(ws, budget, memo):
         for i in reversed(range(len(ws))):
             for c in range(budget + 1):
                 assert below(i, c, 10**9) == table[i][c]
+
+
+@pytest.mark.parametrize("make", [make_h2, make_p113], ids=["h2", "p113"])
+@pytest.mark.parametrize("order", ["ascending", "shuffled"])
+def test_one_count_table_per_setup_reads_fresh_tables(make, order):
+    """Budgets 0..300 read from the setup's one growing table give the
+    node counts of a table built for each budget alone."""
+    setup = make()
+    ws = grading._plan(setup)[2]
+    budgets = list(range(301))
+    if order == "shuffled":
+        random.Random(7).shuffle(budgets)
+    for b in budgets:
+        fresh = grading._count_table(ws, b)
+        assert grading._full_count(setup, b) == 1 + fresh[0][b]
+    assert len(setup._counts[0]) >= 301
+
+
+def test_count_table_grows_by_doubling(monkeypatch):
+    """Over the 961 degrees (i, j) with 0 <= i, j <= 30 the table is
+    rebuilt only when a budget passes its end, at least twice as wide
+    each time: 7 builds, where a table per degree made 961."""
+    built = []
+    table = grading._count_table
+
+    def spy(ws, top):
+        built.append(top)
+        return table(ws, top)
+
+    monkeypatch.setattr(grading, "_count_table", spy)
+    setup = make_h2()
+    for i in range(31):
+        for j in range(31):
+            monomial_basis(Degree(free=(i, j)), setup)
+    # w = (1, 3): the budgets run up to 120
+    assert positive_functional(setup) == [1, 3]
+    assert built == [0, 3, 7, 15, 31, 63, 127]
+
+
+def test_cap_split_on_a_grown_table():
+    """On the h2_q11 fixture, the (32, 32) / (33, 33) cap split holds with
+    the table grown over the smaller degrees first, and with neither."""
+    doc = load_json("h2_q11.json")
+    grown, fresh = cli._load_setup(doc), cli._load_setup(doc)
+    for i in range(32):
+        monomial_basis(Degree(free=(i, i)), grown)
+    for setup in (grown, fresh):
+        with pytest.raises(CapExceededError):
+            monomial_basis(Degree(free=(33, 33)), setup)
+        assert len(monomial_basis(Degree(free=(32, 32)), setup)) == 2145
 
 
 def all_cones(r, size):
