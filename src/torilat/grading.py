@@ -328,10 +328,9 @@ def _count_table(ws, top):
     return table[::-1]
 
 
-def _counter(ws, budget):
-    """below(i, c, limit) for c <= budget: T_i(c), the nodes below a
-    level-i node of budget c, or a number past `limit` once the count
-    passes it.
+def _counter(ws):
+    """below(i, c, limit): T_i(c), the nodes below a level-i node of
+    budget c, or a number past `limit` once the count passes it.
 
     T_i is summed by the recurrence of `_count_table` up one residue
     class of c modulo w_i at a time (known[i][c % w_i] lists T_i at
@@ -380,7 +379,7 @@ def _full_count(setup, budget):
     ws = _plan(setup)[2]
     width = _COUNT_MEMO // (len(ws) + 1)  # budgets 0 .. width - 1 fit
     if budget >= width:
-        return 1 + _counter(ws, budget)(0, budget, MONOMIAL_SEARCH_CAP - 1)
+        return 1 + _counter(ws)(0, budget, MONOMIAL_SEARCH_CAP - 1)
     table = setup._counts
     if table is None or budget >= len(table[0]):
         top = budget if table is None else max(budget, 2 * len(table[0]) - 1)

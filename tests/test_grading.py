@@ -461,7 +461,7 @@ def test_count_without_a_table_reads_the_table(ws, budget, memo):
     values, the count gives every entry of the table."""
     table = grading._count_table(ws, budget)
     with mock.patch.object(grading, "_COUNT_MEMO", memo):
-        below = grading._counter(ws, budget)
+        below = grading._counter(ws)
         for i in reversed(range(len(ws))):
             for c in range(budget + 1):
                 assert below(i, c, 10**9) == table[i][c]
