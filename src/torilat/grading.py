@@ -20,6 +20,10 @@ from .gfield import PrimeField
 # Nodes a search of every value of every exponent would visit, counted
 # before the monomials are listed.  Degree (30, 30) on H_2 needs 3.54 M.
 MONOMIAL_SEARCH_CAP = 5 * 10**6
+# Constraints one level of the Fourier-Motzkin elimination may hold.  A
+# level holds |pos| * |neg| + |zero| of them, so their number can grow
+# doubly exponentially in k (a k = 6 grading reaches 4.5 * 10^9).
+FM_CONSTRAINT_CAP = 10**5
 # Values the node count keeps: a budget too large for a table of this
 # many is counted over the budgets the search reaches.
 _COUNT_MEMO = 1 << 14
@@ -191,6 +195,12 @@ def setup_from_beta(beta, q, max_cones=None) -> ToricSetup:
     phi = intlin.kernel_basis_canonical(beta)
     if intlin.shape(phi)[1] != r - k:  # the kernel has rank r - rank(beta)
         raise ValidationError("beta rows are dependent")
+    # row j of phi, the ray of x_j, is zero when coordinate j vanishes on
+    # ker(beta): name the coordinate, as beta alone gives no rays
+    for j, row in enumerate(phi):
+        if not any(row):
+            raise ValidationError(
+                f"coordinate {j + 1} vanishes on ker(beta): x{j + 1} has no ray")
     # rows of a kernel basis need not be primitive; the kernel lattice is
     # saturated, which is all the torus machinery needs
     return ToricSetup(phi, beta, [], q, max_cones, check_primitive=False)
@@ -232,12 +242,17 @@ def _fm_find(cons, k):
     back-substitution keeps the partial solution over one common
     denominator, compares bounds by cross-multiplying, and sets the new
     coordinate to lower + 1, upper - 1 or the midpoint of the two.
+    A level of more than FM_CONSTRAINT_CAP constraints raises
+    CapExceededError before it is built.
     """
     if k == 0:
         return ([], 1) if not cons else None
     pos = [c for c in cons if c[k - 1] > 0]
     neg = [c for c in cons if c[k - 1] < 0]
     combined = [c[: k - 1] for c in cons if c[k - 1] == 0]
+    if len(pos) * len(neg) + len(combined) > FM_CONSTRAINT_CAP:
+        raise CapExceededError(
+            f"Fourier-Motzkin elimination passed {FM_CONSTRAINT_CAP} constraints")
     for p in pos:
         for m in neg:
             # eliminate w_{k-1}: rest_m * p_k + rest_p * (-m_k) > 0
@@ -298,7 +313,7 @@ def positive_functional(setup: ToricSetup):
         setup._functional = None
         return None
     v, _ = found
-    g = gcd(*v) or 1
+    g = gcd(*v)
     w = [x // g for x in v]
     if any(sum(map(mul, w, c)) <= 0 for c in cons):
         raise InternalError("positive functional verification failed")
@@ -411,7 +426,7 @@ def _solved_block(cols, k):
     when also checks . y = 0 for every row of checks (one per other row
     of beta on which the block is not automatic)."""
     block = cols[-2:]
-    pair = len(block) == 2 and next(
+    pair = next(
         ((i1, i2) for i1 in range(k) for i2 in range(i1 + 1, k)
          if block[0][i1] * block[1][i2] != block[0][i2] * block[1][i1]),
         None)
@@ -457,9 +472,9 @@ def _plan(setup):
     what `_enumerate_solutions` needs beyond the degree, built once per
     setup.  w is the positive functional, cols the columns of beta_free
     and ws their weights w . deg(x_j); (size, D, adj) is the solved block
-    (`_solved_block`), lead the index of the exponent t just before it
-    (-1: none, the root solves), Q the block's slopes in t, and checks
-    pairs each check row with its slope in t."""
+    (`_solved_block`), lead the index of the exponent t just before it,
+    Q the block's slopes in t, and checks pairs each check row with its
+    slope in t."""
     if setup._plan is None:
         w = _require_pointed(setup)
         k, r = setup.k, setup.r
@@ -467,7 +482,7 @@ def _plan(setup):
         ws = [sum(map(mul, w, col)) for col in cols]
         size, D, adj, checks = _solved_block(cols, k)
         lead = r - size - 1
-        ct = cols[lead] if lead >= 0 else [0] * k
+        ct = cols[lead]
         Q = [sum(map(mul, row, ct)) for row in adj]
         checks = [(row, sum(map(mul, row, ct))) for row in checks]
         setup._plan = (w, cols, ws, size, D, adj, lead, Q, checks)
@@ -497,12 +512,12 @@ def _enumerate_solutions(alpha_free, setup):
         return []
     if _full_count(setup, budget) > MONOMIAL_SEARCH_CAP:
         raise CapExceededError(f"monomial search passed {MONOMIAL_SEARCH_CAP} nodes")
-    a = [0] * max(lead, 0)  # the exponents before t
+    a = [0] * lead  # the exponents before t
     out = []
 
     def solve(rem, bud):
-        """The monomials of the node of t (the root when there is none)."""
-        lo, hi = 0, (bud // ws[lead] if lead >= 0 else 0)
+        """The monomials of the node of t."""
+        lo, hi = 0, bud // ws[lead]
         P = [sum(map(mul, row, rem)) for row in adj]
         for p, q in zip(P, Q):  # exponent l of the block is (p - t q) / D
             if q > 0:
@@ -529,9 +544,6 @@ def _enumerate_solutions(alpha_free, setup):
         first = lo + (t0 - lo) % e
         if first > hi:
             return
-        if lead < 0:  # t = 0 alone, and Q = 0
-            out.append(tuple(p // D for p in P))
-            return
         ts = range(first, hi + 1, e)
         xs = [count((p - first * q) // D, -e * q // D) for p, q in zip(P, Q)]
         head = tuple(a)
@@ -552,10 +564,7 @@ def _enumerate_solutions(alpha_free, setup):
             for i, b in enumerate(col):
                 rem[i] -= b
 
-    if lead < 0:
-        solve(target, budget)
-    else:
-        walk(0, target, budget)
+    walk(0, target, budget)
     return out
 
 

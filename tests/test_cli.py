@@ -147,6 +147,49 @@ class TestTorusIdeal:
         assert texts == ["x1^10 - x3^10", "x2^10*x3^20 - x4^10"]
 
 
+def p2_torus(tmp_path, q):
+    """The whole P^2 torus over F_q, its grading built from the rays alone."""
+    f = tmp_path / f"p2_q{q}.json"
+    f.write_text(json.dumps({"variety": {"rays": [[1, 0], [0, 1], [-1, -1]]},
+                             "field": {"q": q}, "task": {"a": [1, 1, 1]}}))
+    return str(f)
+
+
+class TestProjectivePlaneTorus:
+    def test_torus_ideal(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "torus-ideal", p2_torus(tmp_path, 7))
+        assert code == 0
+        texts = [g["text"] for g in json.loads(out)["generators"]]
+        assert texts == ["x1^6 - x3^6", "x2^6 - x3^6"]
+
+    @pytest.mark.parametrize("q", [97, 257])
+    def test_degree_1_distance(self, capsys, tmp_path, q):
+        # d = (q-1)(q-2) by the closed form of Sarmiento, Vaz Pinto and
+        # Villarreal; at q = 257 the residues need 16 bits and the zero
+        # counts of N = 2^16 columns more
+        code, out, _ = run(capsys, "code", p2_torus(tmp_path, q), "--alpha", "1",
+                           "--min-distance")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["N"], doc["k"], doc["d"]) == ((q - 1) ** 2, 3, (q - 1) * (q - 2))
+
+    def test_999982_squared_points(self, capsys, tmp_path):
+        # the order, the structure and k need no point; a distance search
+        # lists them and meets the 10^6-point cap
+        path = p2_torus(tmp_path, 999983)
+        code, out, _ = run(capsys, "subgroup-info", path)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["order"], doc["invariant_factors"]) == (999982**2, [999982, 999982])
+        code, out, _ = run(capsys, "code", path, "--alpha", "2")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["N"], doc["k"]) == (999982**2, 6)
+        code, out, err = run(capsys, "code", path, "--alpha", "0", "--min-distance")
+        assert (code, out) == (3, "")
+        assert err == f"error: subgroup has {999982**2} points, cap is 1000000\n"
+
+
 class TestSubgroupInfo:
     def test_order50(self, capsys):
         code, out, _ = run(
@@ -156,6 +199,17 @@ class TestSubgroupInfo:
         doc = json.loads(out)
         assert doc["order"] == 50
         assert doc["invariant_factors"] == [5, 10]
+        assert doc["generators"] == [[2, 0, 0, 0], [0, 1, 0, 0]]
+
+    def test_printed_generators_give_the_subgroup_back(self, capsys, tmp_path):
+        doc = load_json("h2_a2455.json")
+        doc["task"] = {"generators": [[2, 0, 0, 0], [0, 1, 0, 0]]}
+        f = tmp_path / "generators.json"
+        f.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "subgroup-info", str(f))
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["order"], doc["invariant_factors"]) == (50, [5, 10])
 
 
 class TestCode:
@@ -166,6 +220,15 @@ class TestCode:
         assert code == 0
         doc = json.loads(out)
         assert (doc["N"], doc["k"]) == (50, 50)
+
+    @pytest.mark.parametrize("alpha, params", [("0,1", (50, 4, 30)),
+                                               ("1,1", (50, 6, 20))])
+    def test_published_distance(self, capsys, alpha, params):
+        code, out, _ = run(capsys, "code", problem_path("h2_a2455.json"),
+                           "--alpha", alpha, "--min-distance")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["N"], doc["k"], doc["d"]) == params
 
     def test_with_min_distance(self, capsys):
         code, out, _ = run(
@@ -256,8 +319,10 @@ class TestPointIdeal:
         code, out, _ = run(capsys, "point-ideal", str(f))
         assert code == 0
         doc = json.loads(out)
-        assert len(doc["generators"]) == 2
-        assert all("scale" in g for g in doc["generators"])
+        # one shifted binomial per column of phi, scaled by x^m(P)
+        assert doc["point_canonical"] == [8, 4]
+        assert [(g["m"], g["scale"]) for g in doc["generators"]] == [
+            ([1, 0, -1, 0], 3), ([0, 1, 2, -1], 5)]
 
 
 class TestOutputsAndErrors:
@@ -476,10 +541,35 @@ class TestInputContract:
             ("torus-ideal", with_leaf(H2_DOC, ["task"], [1]), [], "'task'"),
             # a row of no coordinates once vanished in the transpose
             ("ci-check", {"task": {"matrix": [[]]}}, [], "must not be empty"),
+            ("torus-ideal", {"variety": {}, "field": {"q": 7}}, [],
+             "variety needs either 'rays' or 'beta'"),
+            ("torus-ideal", with_leaf(H2_DOC, ["variety", "max_cones"], [[0, 4]]),
+             [], "cone ray index out of range"),
+            # the document gives no rays: name the coordinate with none
+            ("torus-ideal", {"variety": {"beta": [[1, 0, 0], [0, 1, 1]]},
+                             "field": {"q": 7}}, [],
+             "coordinate 1 vanishes on ker(beta): x1 has no ray"),
+            ("subgroup-info", with_leaf(H2_DOC, ["task"], {}), [],
+             "task needs one of 'a', 'lattice', 'generators'"),
+            ("subgroup-info", with_leaf(H2_DOC, ["task"], {"lattice": [[10, 0, -10]]}),
+             [], "lattice rows must have length 4"),
+            ("subgroup-info", with_leaf(H2_DOC, ["task"], {"generators": [[1, 2]]}),
+             [], "generators rows must have length 4"),
+            ("code", with_leaf(H2_DOC, ["task"], {"a": [2, 5, 4, 5], "h": 10}), [],
+             "no degree given (task 'alpha' or --alpha)"),
+            ("code", H2_DOC, ["--alpha", "5"], "degree must have 2 coordinates"),
+            ("degenerate-lattice", with_leaf(H2_DOC, ["task"], {}), [],
+             "degenerate-lattice needs the exponent vector 'a'"),
+            ("hilbert-table", with_leaf(H2_DOC, ["task", "alpha1_values"], [0]), [],
+             "hilbert-table needs 'alpha2_values' in the task"),
+            ("point-ideal", H2_DOC, [], "point-ideal needs an exponent vector 'point'"),
         ],
         ids=["h_str", "alpha_flag", "point_str", "float_ray", "top_level_list",
              "q_bool", "q_float", "alpha_str", "a_bool", "beta_flat",
-             "task_list", "ci_empty_row"],
+             "task_list", "ci_empty_row", "no_rays_or_beta", "cone_index",
+             "beta_zero_coordinate", "no_point_set", "lattice_width",
+             "generators_width", "no_degree", "degree_length", "no_a",
+             "no_alpha2_values", "no_point"],
     )
     def test_exit_2(self, capsys, tmp_path, command, doc, extra, message):
         f = tmp_path / "bad.json"
@@ -556,6 +646,23 @@ class TestMonomialSearchCap:
         assert code == 3
         assert out == ""
         assert "monomial search" in err
+
+
+def test_fourier_motzkin_cap_exits_3(capsys, tmp_path):
+    # a k = 6, r = 12 grading whose elimination levels would hold 12, 23,
+    # 106, 1,785, 618,680 and about 4.5 * 10^9 constraints
+    beta = [[1, 0, -1, 0, 0, 0, 0, 2, 0, -1, 2, 2],
+            [1, 1, 1, -1, 1, 0, 1, 0, -1, 1, 1, 0],
+            [0, 0, 1, 1, 0, -1, -1, 0, 1, 0, 1, 0],
+            [0, 0, -2, 1, 0, 0, 0, -1, 0, 2, -1, 3],
+            [-4, -2, 1, -1, 0, 0, 3, 1, 3, -2, 2, -1],
+            [-2, -5, 0, -2, -1, 1, 4, 0, -5, -5, 3, -7]]
+    f = tmp_path / "k6.json"
+    f.write_text(json.dumps({"variety": {"beta": beta}, "field": {"q": 11},
+                             "task": {"a": [0] * 12, "alpha": [0] * 6}}))
+    code, out, err = run(capsys, "code", str(f))
+    assert (code, out) == (3, "")
+    assert err == "error: Fourier-Motzkin elimination passed 100000 constraints\n"
 
 
 EMPTY_FAN_DOC = {

@@ -255,7 +255,7 @@ def test_positive_functional_matches_fraction_oracle(beta):
     try:
         st = setup_from_beta(beta, 11)
     except ValidationError:
-        # a coordinate that vanishes on ker(beta) gives a zero ray
+        # a coordinate that vanishes on ker(beta) has no ray
         assume(False)
     assert positive_functional(st) == oracles.positive_functional_by_fractions(beta)
 
