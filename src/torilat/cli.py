@@ -1,4 +1,5 @@
-"""Batch command-line front end.
+"""Command-line front end: each process runs one command on one problem
+document.
 
 Reads a JSON problem description, dispatches to the library, writes a
 structured JSON result (stdout or --out) plus a human summary on

@@ -151,8 +151,9 @@ def hilbert_table(Y: PointSet, first_values, second_values, setup: ToricSetup):
     w . alpha (w the positive functional), and a cell alpha with a cell
     alpha - deg(x_j) of value |Y| gets |Y| without listing a monomial;
     the monomial cap applies only to the cells whose monomials are
-    listed.  A grading with no positive functional keeps the order of
-    the grid, row by row."""
+    listed.  A grading with no positive functional is not pointed: the
+    first cell it lists raises ValidationError, so it gives a value only
+    for a grid with no cell."""
     if setup.k != 2 or setup.torsion:
         raise ValidationError("hilbert_table expects a free rank-2 grading")
     cells = list(dict.fromkeys((a, b) for b in second_values for a in first_values))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 from math import gcd
 from operator import mul
@@ -49,7 +50,6 @@ class ToricSetup:
 
     def __init__(self, phi, beta_free, torsion, q, max_cones=None,
                  check_primitive=True):
-        self._check_primitive = check_primitive
         self.phi = [list(row) for row in phi]
         self.r, self.n = intlin.shape(self.phi)
         self.beta_free = [list(row) for row in beta_free]
@@ -61,18 +61,18 @@ class ToricSetup:
         self.max_cones = (
             None if max_cones is None else [sorted(set(c)) for c in max_cones]
         )
-        self._validate()
-        self._right_inverse = None
-        self._functional = "unset"
-        # what `_enumerate_solutions` needs beyond the degree (`_plan`),
-        # and the node counts of the search over its weights (`_full_count`)
-        self._plan = None
+        # U of the Hermite form U phi = H (`_validate`)
+        self._U = self._validate(check_primitive)
+        # the node counts of the search over the weights of `_plan`
+        # (`_full_count`)
         self._counts = None
         # (degree, tuple of monomials) of the last enumeration: a Hilbert
         # value by rank and by coset count at one degree enumerate it once
         self._monomial_cache = (None, None)
 
-    def _validate(self):
+    def _validate(self, check_primitive):
+        """Raise ValidationError unless the setup is consistent, and return
+        U of the Hermite form U phi = H of the rays."""
         for row in self.beta_free:
             if len(row) != self.r:
                 raise ValidationError("beta row length != r")
@@ -82,10 +82,16 @@ class ToricSetup:
         for v in self.phi:
             if not any(v):
                 raise ValidationError("zero ray vector")
-            if self._check_primitive and gcd(*(abs(x) for x in v)) != 1:
+            if check_primitive and gcd(*(abs(x) for x in v)) != 1:
                 raise ValidationError(f"non-primitive ray {v}")
-        phi_snf = intlin.snf(self.phi)
-        if phi_snf.rank != self.n:
+        # H is row echelon, so phi has rank n exactly when the diagonal of
+        # H has no zero, and then phi^T maps onto Z^n exactly when that
+        # diagonal is all 1.  Then phi^T W = [I_n | 0] with W = U^T (the
+        # column Hermite form of phi^T): its first n columns are a right
+        # inverse of phi^T.
+        H, U = intlin.hnf(self.phi)
+        pivots = [H[i][i] for i in range(min(self.r, self.n))]
+        if len(pivots) != self.n or not all(pivots):
             raise ValidationError("rays do not span Q^n")
         if self.max_cones is not None:
             for c in self.max_cones:
@@ -100,14 +106,14 @@ class ToricSetup:
                 if sum(a * b for a, b in zip(row, col)) % d != 0:
                     raise ValidationError("torsion row does not annihilate im(phi)")
         # With beta phi = 0, ker(beta) = im(phi) exactly when im(phi) is
-        # saturated (every invariant factor of phi is 1) and both have
-        # rank n; beta maps onto Z^k when its invariant factors are 1.
-        # With no rows, ker(beta) = Z^r: phi must be square and unimodular.
-        # This is the one test that phi^T maps onto Z^n.
+        # saturated (phi^T maps onto Z^n) and both have rank n; beta maps
+        # onto Z^k when its invariant factors are 1.  With no rows,
+        # ker(beta) = Z^r: phi must be square and unimodular.  This is the
+        # one test that phi^T maps onto Z^n.
         beta_factors = intlin.snf(self.beta_free).diagonal if self.k else []
         beta_rank = sum(1 for f in beta_factors if f)
         if not self.torsion and (
-            any(f != 1 for f in phi_snf.diagonal) or beta_rank != self.r - self.n
+            any(f != 1 for f in pivots) or beta_rank != self.r - self.n
         ):
             raise ValidationError("ker(beta) != im(phi)")
         if beta_rank != self.k:
@@ -123,6 +129,7 @@ class ToricSetup:
                 "characteristic; quotient constructions may misbehave",
                 stacklevel=3,
             )
+        return U
 
     def _require_torsion_free(self, what: str):
         if self.torsion:
@@ -139,17 +146,45 @@ class ToricSetup:
 
     def right_inverse(self):
         """Integer R (r x n) with phi^T R = I_n: the first n columns of the
-        transform W of the column Hermite form phi^T W = H, which is
-        [I_n | 0] because phi^T maps onto Z^n (checked by `_validate` for
-        every torsion-free setup)."""
-        if self._right_inverse is None:
-            self._require_torsion_free("torus coordinate computation")
-            H, W = intlin.column_hnf(intlin.transpose(self.phi))
-            pad = [0] * (self.r - self.n)
-            if H != [row + pad for row in intlin.identity(self.n)]:
-                raise InternalError("phi^T is not surjective over Z")
-            self._right_inverse = tuple(tuple(row[:self.n]) for row in W)
-        return [list(row) for row in self._right_inverse]
+        transform W = U^T of the Hermite form that `_validate` checked to
+        be [I_n | 0] for every torsion-free setup."""
+        self._require_torsion_free("torus coordinate computation")
+        return [list(col) for col in zip(*self._U[:self.n])]
+
+    @cached_property
+    def _functional(self):
+        """The tuple `positive_functional` hands out as a list, or None."""
+        if self.k == 0:
+            return None
+        cons = list(zip(*self.beta_free))
+        found = _fm_find(cons, self.k)
+        if found is None:
+            return None
+        v, _ = found
+        g = gcd(*v)
+        w = tuple(x // g for x in v)
+        if any(sum(map(mul, w, c)) <= 0 for c in cons):
+            raise InternalError("positive functional verification failed")
+        return w
+
+    @cached_property
+    def _plan(self):
+        """(w, cols, ws, size, D, adj, lead, Q, checks) of a pointed
+        grading: what `_enumerate_solutions` needs beyond the degree.
+        w is the positive functional, cols the columns of beta_free and
+        ws their weights w . deg(x_j); (size, D, adj) is the solved block
+        (`_solved_block`), lead the index of the exponent t just before
+        it, Q the block's slopes in t, and checks pairs each check row
+        with its slope in t."""
+        w = _require_pointed(self)
+        cols = [[row[j] for row in self.beta_free] for j in range(self.r)]
+        ws = [sum(map(mul, w, col)) for col in cols]
+        size, D, adj, checks = _solved_block(cols, self.k)
+        lead = self.r - size - 1
+        ct = cols[lead]
+        Q = [sum(map(mul, row, ct)) for row in adj]
+        checks = [(row, sum(map(mul, row, ct))) for row in checks]
+        return w, cols, ws, size, D, adj, lead, Q, checks
 
     def __repr__(self):
         return (
@@ -166,9 +201,7 @@ def setup_from_rays(rays, q, max_cones=None) -> ToricSetup:
     deterministic.  Torsion in the class group shows up as residue rows.
     """
     phi = [list(v) for v in rays]
-    r, n = intlin.shape(phi)
-    if r < n:
-        raise ValidationError("fewer rays than ambient dimension")
+    n = intlin.shape(phi)[1]
     res = intlin.snf(phi)
     if res.rank != n:
         raise ValidationError("rays do not span Q^n")
@@ -177,10 +210,9 @@ def setup_from_rays(rays, q, max_cones=None) -> ToricSetup:
     for i in range(n):
         if diag[i] > 1:
             torsion.append((diag[i], [x % diag[i] for x in res.U[i]]))
-    free_rows = [res.U[i] for i in range(n, r)]
-    if free_rows:
-        H, _ = intlin.hnf(free_rows)
-        free_rows = [row for row in H if any(row)]
+    # U is unimodular: its last rows are independent, so their Hermite
+    # form has no zero row
+    free_rows = intlin.hnf(res.U[n:])[0]
     return ToricSetup(phi, free_rows, torsion, q, max_cones)
 
 
@@ -191,10 +223,7 @@ def setup_from_beta(beta, q, max_cones=None) -> ToricSetup:
     im(phi) holds by construction.  Rows of beta must be Z-independent.
     """
     beta = [list(row) for row in beta]
-    k, r = intlin.shape(beta)
     phi = intlin.kernel_basis_canonical(beta)
-    if intlin.shape(phi)[1] != r - k:  # the kernel has rank r - rank(beta)
-        raise ValidationError("beta rows are dependent")
     # row j of phi, the ray of x_j, is zero when coordinate j vanishes on
     # ker(beta): name the coordinate, as beta alone gives no rays
     for j, row in enumerate(phi):
@@ -299,26 +328,10 @@ def positive_functional(setup: ToricSetup):
 
     w is the primitive integer vector on the ray of the Fourier-Motzkin
     solution (`_fm_find`): its integer numerators divided by their gcd.
-    It is cached on the setup, and checked against every column before
-    it is handed out."""
-    if setup._functional != "unset":
-        w = setup._functional
-        return None if w is None else list(w)
-    if setup.k == 0:
-        setup._functional = None
-        return None
-    cons = list(zip(*setup.beta_free))
-    found = _fm_find(cons, setup.k)
-    if found is None:
-        setup._functional = None
-        return None
-    v, _ = found
-    g = gcd(*v)
-    w = [x // g for x in v]
-    if any(sum(map(mul, w, c)) <= 0 for c in cons):
-        raise InternalError("positive functional verification failed")
-    setup._functional = tuple(w)
-    return w
+    It is computed once per setup (`ToricSetup._functional`), and
+    checked against every column before it is handed out."""
+    w = setup._functional
+    return None if w is None else list(w)
 
 
 # Node counts of the full search ---------------------------------------
@@ -391,7 +404,7 @@ def _full_count(setup, budget):
     the setup's one table, which is rebuilt at least twice as wide, up
     to that many values, when a budget passes its end.  Larger budgets
     are summed by `_counter`."""
-    ws = _plan(setup)[2]
+    ws = setup._plan[2]
     width = _COUNT_MEMO // (len(ws) + 1)  # budgets 0 .. width - 1 fit
     if budget >= width:
         return 1 + _counter(ws)(0, budget, MONOMIAL_SEARCH_CAP - 1)
@@ -467,28 +480,6 @@ def _progression(P, Q, D):
     return t0, e
 
 
-def _plan(setup):
-    """(w, cols, ws, size, D, adj, lead, Q, checks) of a pointed grading:
-    what `_enumerate_solutions` needs beyond the degree, built once per
-    setup.  w is the positive functional, cols the columns of beta_free
-    and ws their weights w . deg(x_j); (size, D, adj) is the solved block
-    (`_solved_block`), lead the index of the exponent t just before it,
-    Q the block's slopes in t, and checks pairs each check row with its
-    slope in t."""
-    if setup._plan is None:
-        w = _require_pointed(setup)
-        k, r = setup.k, setup.r
-        cols = [[row[j] for row in setup.beta_free] for j in range(r)]
-        ws = [sum(map(mul, w, col)) for col in cols]
-        size, D, adj, checks = _solved_block(cols, k)
-        lead = r - size - 1
-        ct = cols[lead]
-        Q = [sum(map(mul, row, ct)) for row in adj]
-        checks = [(row, sum(map(mul, row, ct))) for row in checks]
-        setup._plan = (w, cols, ws, size, D, adj, lead, Q, checks)
-    return setup._plan
-
-
 def _enumerate_solutions(alpha_free, setup):
     """All a in N^r with beta_free . a = alpha_free, in ascending
     lexicographic order.  Requires a pointed grading.
@@ -505,7 +496,7 @@ def _enumerate_solutions(alpha_free, setup):
     The cap bounds the nodes of the search of every value of every
     exponent; the count (`_full_count`) stops as soon as it passes the
     cap and raises CapExceededError before the search."""
-    w, cols, ws, size, D, adj, lead, Q, checks = _plan(setup)
+    w, cols, ws, size, D, adj, lead, Q, checks = setup._plan
     target = list(alpha_free)
     budget = sum(map(mul, w, target))
     if budget < 0:

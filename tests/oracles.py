@@ -9,8 +9,8 @@ side) and the inverse of a unimodular matrix, which the right inverse,
 exponent lattice and group structure in `torilat` replaced with reads of
 Hermite and Smith forms already at hand.  The exactness test
 ker(beta) = im(phi) by comparing two lattices, which the set-up check in
-`torilat.grading.ToricSetup` replaced with the Smith forms of phi and
-beta.  `HermiteReducer`, the coset canonicalizer against a column
+`torilat.grading.ToricSetup` replaced with the Hermite form of phi^T and
+the Smith form of beta.  `HermiteReducer`, the coset canonicalizer against a column
 Hermite basis: `torilat.lattice.hilbert_of_lattice` runs its loop
 inline, and subgroup membership in `torilat.torus` reads the dual basis
 (q-1) B^{-1} instead.  Matrices over F_q: rank by plain-list Gaussian

@@ -435,6 +435,10 @@ H2_DOC = {
 }
 
 
+# the third ray is zero
+ZERO_RAY = [[1, 0], [0, 1], [0, 0], [-1, -1]]
+
+
 def with_leaf(doc, path, value):
     doc = copy.deepcopy(doc)
     node = doc
@@ -563,13 +567,34 @@ class TestInputContract:
             ("hilbert-table", with_leaf(H2_DOC, ["task", "alpha1_values"], [0]), [],
              "hilbert-table needs 'alpha2_values' in the task"),
             ("point-ideal", H2_DOC, [], "point-ideal needs an exponent vector 'point'"),
+            ("torus-ideal", with_leaf(H2_DOC, ["variety", "beta"],
+                                      [[1, -2, 1], [0, 1, 0]]), [],
+             "beta row length != r"),
+            ("torus-ideal", {"variety": {"rays": ZERO_RAY}, "field": {"q": 7}}, [],
+             "zero ray vector"),
+            ("torus-ideal", {"variety": {"rays": ZERO_RAY,
+                                         "beta": [[1, 1, 0, 1], [0, 0, 1, 0]]},
+                             "field": {"q": 7}}, [],
+             "zero ray vector"),
+            ("torus-ideal", {"variety": {"rays": [[1, 0], [-1, 0]]},
+                             "field": {"q": 7}}, [],
+             "rays do not span Q^n"),
+            ("torus-ideal", {"variety": {"rays": [[1, 0], [-1, 0], [1, 0]],
+                                         "beta": [[1, 1, 0], [0, 1, 1]]},
+                             "field": {"q": 7}}, [],
+             "rays do not span Q^n"),
+            # fewer rays than the ambient dimension
+            ("torus-ideal", {"variety": {"rays": [[1, 0]]}, "field": {"q": 7}}, [],
+             "rays do not span Q^n"),
         ],
         ids=["h_str", "alpha_flag", "point_str", "float_ray", "top_level_list",
              "q_bool", "q_float", "alpha_str", "a_bool", "beta_flat",
              "task_list", "ci_empty_row", "no_rays_or_beta", "cone_index",
              "beta_zero_coordinate", "no_point_set", "lattice_width",
              "generators_width", "no_degree", "degree_length", "no_a",
-             "no_alpha2_values", "no_point"],
+             "no_alpha2_values", "no_point", "beta_short_rows",
+             "zero_ray", "zero_ray_with_beta", "rays_on_a_line",
+             "rays_on_a_line_with_beta", "one_ray"],
     )
     def test_exit_2(self, capsys, tmp_path, command, doc, extra, message):
         f = tmp_path / "bad.json"

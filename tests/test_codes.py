@@ -162,6 +162,14 @@ class TestHilbert:
         with pytest.raises(ValidationError):
             hilbert_table(Y, [0], [0], p113)
 
+    def test_table_of_a_grading_that_is_not_pointed(self):
+        # x1 x2 has degree 0: a grid answers only when it has no cell
+        st = setup_from_beta([[1, -1, 0, 0], [0, 0, 1, -1]], 7)
+        Y = degenerate_torus([1, 1, 1, 1], 6, st)[0]
+        assert hilbert_table(Y, [], [0], st) == [[]]
+        with pytest.raises(ValidationError, match="grading is not pointed"):
+            hilbert_table(Y, [0], [0], st)
+
     def test_table_builds_the_enumeration_plan_once(self, monkeypatch):
         # the solved block, the weights and the slopes depend on the setup
         # alone: the 6 x 18 table builds them once, not once per cell

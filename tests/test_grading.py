@@ -39,6 +39,18 @@ def brute_force_monomials(setup, alpha, bound):
     return out
 
 
+def count_normal_forms(monkeypatch):
+    """The calls of intlin.snf and intlin.hnf from here on, by name."""
+    calls = {"snf": 0, "hnf": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(intlin, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(intlin, name, counted)
+    return calls
+
+
 class TestSetupConstruction:
     def test_h2_from_rays_matches_explicit_beta(self):
         st_rays = setup_from_rays([[1, 0], [0, 1], [-1, 2], [0, -1]], 11)
@@ -101,29 +113,40 @@ class TestSetupConstruction:
         with pytest.raises(ValidationError, match="beta rows are dependent"):
             setup_from_beta([[1, 1, 1, 3], [2, 2, 2, 6]], 11)
 
-    def test_one_smith_form_per_matrix(self, monkeypatch):
-        # a setup given rays and beta is checked by the Smith forms of
-        # phi and beta alone: no kernel, Hermite form or lattice comparison
+    def test_one_normal_form_per_matrix(self, monkeypatch):
+        # a setup given rays and beta is checked by the Hermite form of
+        # phi and the Smith form of beta alone: no kernel or lattice
+        # comparison
         def refuse(*args):
-            raise AssertionError("set-up check left the Smith forms")
+            raise AssertionError("set-up check left the normal forms")
 
-        for name in ("integer_kernel", "lattice_equal", "hnf"):
+        for name in ("integer_kernel", "lattice_equal"):
             monkeypatch.setattr(intlin, name, refuse)
+        calls = count_normal_forms(monkeypatch)
         assert make_h2().k == 2
+        assert calls == {"snf": 1, "hnf": 1}
 
-    def test_one_smith_form_of_beta_alone(self, monkeypatch):
+    def test_normal_forms_of_beta_alone(self, monkeypatch):
         # the kernel basis reads one Smith form of beta and one Hermite
-        # form; the set-up check adds those of phi and beta, and nothing
-        # else computes a Smith form
-        calls = {"snf": 0, "hnf": 0}
-        for name in calls:
-            def counted(*args, _real=getattr(intlin, name), _name=name):
-                calls[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(intlin, name, counted)
+        # form; the set-up check adds the Hermite form of phi and the
+        # Smith form of beta
+        calls = count_normal_forms(monkeypatch)
         assert make_p113().k == 1
-        assert calls == {"snf": 3, "hnf": 1}
+        assert calls == {"snf": 2, "hnf": 2}
+
+    @pytest.mark.parametrize("torsion, message", [
+        ([(2, [1])], "torsion row length != r"),
+        ([(2, [1, 0])], r"torsion row does not annihilate im\(phi\)"),
+    ])
+    def test_torsion_rows_are_checked(self, torsion, message):
+        # the class group of these rays is Z/2, with residue row (1, 1)
+        with pytest.raises(ValidationError, match=message):
+            ToricSetup([[1, 1], [1, -1]], [], torsion, 7)
+
+    def test_torsion_order_in_the_characteristic_warns(self):
+        with pytest.warns(UserWarning, match="shares the field characteristic"):
+            st = setup_from_rays([[1, 1], [1, -1]], 2)
+        assert [d for d, _ in st.torsion] == [2]
 
     @pytest.mark.parametrize("beta", [[[2, -4, 2, 0], [0, 1, 0, 1]],
                                       [[1, -2, 1, 0], [1, 0, 1, 2]],
@@ -203,6 +226,13 @@ class TestDegrees:
         L = rows_to_lattice([[10, 0, -10, 0], [0, 5, 10, -5]], 4)
         assert is_homogeneous(L, h2)
         assert not is_homogeneous(rows_to_lattice([[1, 0, 0, 0]], 4), h2)
+
+    def test_wrong_lengths_rejected(self, h2):
+        with pytest.raises(ValidationError, match="exponent vector length != r"):
+            degree_of([1, 2, 3], h2)
+        with pytest.raises(ValidationError,
+                           match="lattice basis has wrong number of rows"):
+            is_homogeneous(rows_to_lattice([[1, 0, 0]], 3), h2)
 
 
 class TestPositiveFunctional:
@@ -473,7 +503,7 @@ def test_one_count_table_per_setup_reads_fresh_tables(make, order):
     """Budgets 0..300 read from the setup's one growing table give the
     node counts of a table built for each budget alone."""
     setup = make()
-    ws = grading._plan(setup)[2]
+    ws = setup._plan[2]
     budgets = list(range(301))
     if order == "shuffled":
         random.Random(7).shuffle(budgets)
@@ -604,6 +634,25 @@ class TestRightInverse:
             R = st.right_inverse()
             prod = intlin.mat_mul(intlin.transpose(st.phi), R)
             assert prod == intlin.identity(st.n)
+
+    @pytest.mark.parametrize("make, R", [
+        (make_h2, [[1, 0], [0, 1], [0, 0], [0, 0]]),
+        (make_p113, [[0, 1, 0], [-1, 1, 0], [0, 0, 0], [0, 3, -1]]),
+        (lambda: setup_from_beta([[1, 1, 1]], 11), [[0, 1], [-1, 1], [0, 0]]),
+        (lambda: setup_from_rays([[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]], 11),
+         [[1, -1], [0, 1], [0, 0], [0, 0], [0, 0]]),
+    ], ids=["h2", "p113", "p2", "blowup"])
+    def test_read_from_the_set_up_check(self, make, R, monkeypatch):
+        # R is read from the Hermite form of phi that the set-up check
+        # computed: no normal form is taken after construction
+        st = make()
+
+        def refuse(*args):
+            raise AssertionError("right inverse took a normal form")
+
+        for name in ("hnf", "snf"):
+            monkeypatch.setattr(intlin, name, refuse)
+        assert st.right_inverse() == R
 
     def test_not_surjective(self):
         # with no beta rows ker(beta) = Z^2, but det phi = -2: phi^T maps

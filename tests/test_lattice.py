@@ -142,6 +142,16 @@ class TestDegenerateLattice:
         assert intlin.lattice_equal(res.L, vanishing_lattice(Y, st))
 
 
+@pytest.mark.parametrize("check", [
+    complete_intersection,
+    lambda L, st: hilbert_of_lattice(L, Degree(free=(1, 1)), st),
+], ids=["complete_intersection", "hilbert_of_lattice"])
+def test_inhomogeneous_lattice_rejected(h2, check):
+    # e_1 has degree (1, 0) on H_2
+    with pytest.raises(ValidationError, match="lattice is not homogeneous"):
+        check(rows_to_lattice([[1, 0, 0, 0]], 4), h2)
+
+
 class TestMixedDominating:
     def test_published_8x2_matrix(self):
         rows = [[0, 1], [1, 1], [1, 0], [1, -1], [0, -1], [-1, -1], [-1, 0], [-1, 1]]

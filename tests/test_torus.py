@@ -180,6 +180,11 @@ class TestSubgroups:
                 assert oracles.identity_point(st) in Y
                 assert Y.is_group
 
+    def test_parameterization_of_the_wrong_width(self, h2):
+        with pytest.raises(ValidationError,
+                           match="parameterization matrix has wrong column count"):
+            points_from_parameterization([[1, 2, 3]], 10, h2)
+
     def test_closure_contains_generators(self, h2):
         g = point_from_rep([1, 2, 3, 4], h2)
         Y = subgroup_closure([g], h2)
