@@ -18,16 +18,13 @@ from . import intlin
 from .errors import CapExceededError, InternalError, ValidationError
 from .gfield import PrimeField
 
-# Nodes a search of every value of every exponent would visit, counted
-# before the monomials are listed.  Degree (30, 30) on H_2 needs 3.54 M.
-MONOMIAL_SEARCH_CAP = 5 * 10**6
+# The nodes an enumeration's walk visits plus the monomials it finds,
+# counted before any is listed: (33, 33) on H_2 needs 2,412.
+MONOMIAL_SEARCH_CAP = 10**6
 # Constraints one level of the Fourier-Motzkin elimination may hold.  A
 # level holds |pos| * |neg| + |zero| of them, so their number can grow
 # doubly exponentially in k (a k = 6 grading reaches 4.5 * 10^9).
 FM_CONSTRAINT_CAP = 10**5
-# Values the node count keeps: a budget too large for a table of this
-# many is counted over the budgets the search reaches.
-_COUNT_MEMO = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -63,9 +60,6 @@ class ToricSetup:
         )
         # U of the Hermite form U phi = H (`_validate`)
         self._U = self._validate(check_primitive)
-        # the node counts of the search over the weights of `_plan`
-        # (`_full_count`)
-        self._counts = None
         # (degree, tuple of monomials) of the last enumeration: a Hilbert
         # value by rank and by coset count at one degree enumerate it once
         self._monomial_cache = (None, None)
@@ -334,87 +328,6 @@ def positive_functional(setup: ToricSetup):
     return None if w is None else list(w)
 
 
-# Node counts of the full search ---------------------------------------
-#
-# The cap bounds the nodes of a search that tries every value of every
-# exponent in turn: a node of level i and budget c (what is left of the
-# weight w . alpha) has c // w_i + 1 children, and the root counts one.
-# These counts depend on the weights alone, so they are taken before the
-# enumeration, which visits far fewer nodes.
-
-
-def _count_table(ws, top):
-    """T[i][c] for 0 <= i <= m and 0 <= c <= top: the nodes below a
-    level-i node of budget c.  Its children v = 0, 1, ... give
-    T_i(c) = 1 + T_{i+1}(c) + T_i(c - w_i), and T_m = 0."""
-    table = [[0] * (top + 1)]
-    for w in reversed(ws):
-        row = [x + 1 for x in table[-1]]
-        for c in range(w, top + 1):
-            row[c] += row[c - w]
-        table.append(row)
-    return table[::-1]
-
-
-def _counter(ws):
-    """below(i, c, limit): T_i(c), the nodes below a level-i node of
-    budget c, or a number past `limit` once the count passes it.
-
-    T_i is summed by the recurrence of `_count_table` up one residue
-    class of c modulo w_i at a time (known[i][c % w_i] lists T_i at
-    c % w_i, c % w_i + w_i, ...), with T_{m-1}(c) = c // w + 1.  Each
-    step adds at least one node, so the work stops as soon as the count
-    passes the limit, and at most _COUNT_MEMO values are kept, however
-    large the budget and the weights."""
-    last = len(ws) - 1
-    known, room = [{} for _ in ws], _COUNT_MEMO
-
-    def below(i, c, limit):
-        nonlocal room
-        w = ws[i]
-        j, rho = divmod(c, w)
-        if i == last:
-            return j + 1
-        row = known[i].get(rho, ())
-        if j < len(row):
-            return row[j]
-        if j >= limit:  # the children alone pass it
-            return j + 1
-        total = row[-1] if row else 0
-        if not row and room:
-            row = known[i][rho] = []
-        for b in range(rho + len(row) * w, c + 1, w):
-            total += 1 + below(i + 1, b, limit - total - 1)
-            if total > limit:
-                return total
-            if room:
-                row.append(total)
-                room -= 1
-        return total
-
-    return below
-
-
-def _full_count(setup, budget):
-    """Nodes of the whole search from a root of budget >= 0 over the
-    weights ws of `_plan`: 1 + T_0(b), or a number past the cap once the
-    count passes it.
-
-    A budget whose table holds at most _COUNT_MEMO values is read from
-    the setup's one table, which is rebuilt at least twice as wide, up
-    to that many values, when a budget passes its end.  Larger budgets
-    are summed by `_counter`."""
-    ws = setup._plan[2]
-    width = _COUNT_MEMO // (len(ws) + 1)  # budgets 0 .. width - 1 fit
-    if budget >= width:
-        return 1 + _counter(ws)(0, budget, MONOMIAL_SEARCH_CAP - 1)
-    table = setup._counts
-    if table is None or budget >= len(table[0]):
-        top = budget if table is None else max(budget, 2 * len(table[0]) - 1)
-        table = setup._counts = _count_table(ws, min(top, width - 1))
-    return 1 + table[0][budget]
-
-
 # Enumeration ------------------------------------------------------------
 
 
@@ -493,21 +406,25 @@ def _enumerate_solutions(alpha_free, setup):
     other row of beta fixes t or rules it out.  Each such t gives one
     monomial.  What depends on the setup alone is read from `_plan`.
 
-    The cap bounds the nodes of the search of every value of every
-    exponent; the count (`_full_count`) stops as soon as it passes the
-    cap and raises CapExceededError before the search."""
+    The work is the nodes the walk visits plus the monomials it finds:
+    each walk node adds its children, each leaf the length of its
+    progression.  CapExceededError is raised as soon as it passes
+    MONOMIAL_SEARCH_CAP, and the leaves are kept until the walk ends, so
+    a refused degree lists no monomial."""
     w, cols, ws, size, D, adj, lead, Q, checks = setup._plan
     target = list(alpha_free)
     budget = sum(map(mul, w, target))
     if budget < 0:
         return []
-    if _full_count(setup, budget) > MONOMIAL_SEARCH_CAP:
-        raise CapExceededError(f"monomial search passed {MONOMIAL_SEARCH_CAP} nodes")
+    cap = MONOMIAL_SEARCH_CAP
+    passed = f"monomial search passed {cap} nodes and monomials"
     a = [0] * lead  # the exponents before t
-    out = []
+    leaves = []  # (a, first t, last t + 1, step of t, P) of each leaf
+    work = 1  # the root
 
     def solve(rem, bud):
-        """The monomials of the node of t."""
+        """Keep the progression of t of a leaf."""
+        nonlocal work
         lo, hi = 0, bud // ws[lead]
         P = [sum(map(mul, row, rem)) for row in adj]
         for p, q in zip(P, Q):  # exponent l of the block is (p - t q) / D
@@ -535,27 +452,37 @@ def _enumerate_solutions(alpha_free, setup):
         first = lo + (t0 - lo) % e
         if first > hi:
             return
-        ts = range(first, hi + 1, e)
-        xs = [count((p - first * q) // D, -e * q // D) for p, q in zip(P, Q)]
-        head = tuple(a)
-        if size == 1:
-            out.extend([(*head, t, x) for t, x in zip(ts, *xs)])
-        else:
-            out.extend([(*head, t, x, y) for t, x, y in zip(ts, *xs)])
+        work += (hi - first) // e + 1
+        if work > cap:
+            raise CapExceededError(passed)
+        leaves.append((tuple(a), first, hi + 1, e, P))
 
     def walk(pos, rem, bud):
+        nonlocal work
         if pos == lead:
             solve(rem, bud)
             return
         wj, col = ws[pos], cols[pos]
+        top = bud // wj + 1
+        work += top
+        if work > cap:
+            raise CapExceededError(passed)
         rem = list(rem)
-        for v in range(bud // wj + 1):
+        for v in range(top):
             a[pos] = v
             walk(pos + 1, rem, bud - v * wj)
             for i, b in enumerate(col):
                 rem[i] -= b
 
     walk(0, target, budget)
+    out = []
+    for head, first, stop, e, P in leaves:
+        ts = range(first, stop, e)
+        xs = [count((p - first * q) // D, -e * q // D) for p, q in zip(P, Q)]
+        if size == 1:
+            out.extend([(*head, t, x) for t, x in zip(ts, *xs)])
+        else:
+            out.extend([(*head, t, x, y) for t, x, y in zip(ts, *xs)])
     return out
 
 

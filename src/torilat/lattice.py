@@ -165,16 +165,18 @@ def complete_intersection(L, setup: ToricSetup) -> bool:
 
 
 def torus_ideal(setup: ToricSetup) -> tuple:
-    """Generators of I(T_X): the basis binomials of (q-1) L_beta, taken
-    on the columns of phi."""
+    """The basis binomials of (q-1) L_beta, one per column of phi.  They
+    lie in I(T_X), and generate it only for some coordinates of the rays
+    (not for the rays (1,1), (0,1), (-1,-2) of P^2)."""
     qm = setup.q - 1
     cols = [[qm * x for x in c] for c in intlin.columns(setup.phi)]
     return lattice_ideal_generators(intlin.from_columns(cols, setup.r))
 
 
 def point_ideal(P: TorusPoint, setup: ToricSetup) -> tuple:
-    """Shifted binomials generating I([P]): one per basis column m of
-    L_beta, with scale x^m(P).
+    """Shifted binomials in I([P]), one per basis column m of L_beta with
+    scale x^m(P); like `torus_ideal`, they generate it only for some
+    coordinates of the rays.
 
     The scale is computed from the canonical form, so it is independent
     of the chosen representative of [P].

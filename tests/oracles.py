@@ -498,18 +498,13 @@ def positive_functional_by_fractions(beta_free):
 # monomial enumeration -------------------------------------------------
 
 
-class _PastLimit(Exception):
-    pass
-
-
-def monomials_by_full_search(alpha_free, setup, allowed, find_one=False,
-                             limit=None):
+def monomials_by_full_search(alpha_free, setup, allowed, find_one=False):
     """(monomials, nodes): all a in N^r supported on `allowed` with
     beta_free . a = alpha_free in ascending lexicographic order, by a
     search over every value of every allowed exponent, and the number of
-    search nodes it visits.  No cap: the library's cap is compared
-    against `nodes`.  Given `limit`, the search stops as soon as its
-    count passes it, and returns (None, nodes) with nodes > limit."""
+    search nodes it visits.  No cap.  Over the exponents the library walks
+    (`range(lead)` of `ToricSetup._plan`), `nodes` is the walk's share of
+    the work that the library's cap counts."""
     w = positive_functional(setup)
     if w is None:
         raise ValidationError(
@@ -537,8 +532,6 @@ def monomials_by_full_search(alpha_free, setup, allowed, find_one=False,
         j = allowed[pos]
         top = bud // weights[j]
         nodes += top + 1  # the children, counted once by their parent
-        if limit is not None and nodes > limit:
-            raise _PastLimit
         for v in range(top + 1):
             a[j] = v
             new_rem = [
@@ -550,10 +543,7 @@ def monomials_by_full_search(alpha_free, setup, allowed, find_one=False,
         a[j] = 0
 
     if budget >= 0:
-        try:
-            rec(0, target, budget)
-        except _PastLimit:
-            return None, nodes
+        rec(0, target, budget)
     return out, nodes
 
 

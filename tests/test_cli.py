@@ -3,6 +3,7 @@
 import copy
 import json
 import sys
+from math import prod
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -145,6 +146,26 @@ class TestTorusIdeal:
         assert code == 0
         texts = [g["text"] for g in json.loads(out)["generators"]]
         assert texts == ["x1^10 - x3^10", "x2^10*x3^20 - x4^10"]
+
+    @pytest.mark.xfail(strict=True, reason="the basis binomials generate I(T_X) "
+                       "only for some coordinates of the rays")
+    def test_rays_in_other_coordinates(self, capsys, tmp_path):
+        # P^2 with rays (1,1), (0,1), (-1,-2), a unimodular change of
+        # (1,0), (0,1), (-1,-1): it prints x1^6 - x3^6 and
+        # x1^6*x2^6 - x3^12, which both vanish at (0, 1, 0), where
+        # x2^6 - x3^6, which vanishes on T_X, does not
+        f = tmp_path / "p2_other_coordinates.json"
+        f.write_text(json.dumps({"variety": {"rays": [[1, 1], [0, 1], [-1, -2]]},
+                                 "field": {"q": 7}}))
+        code, out, _ = run(capsys, "torus-ideal", str(f))
+        assert code == 0
+        point = (0, 1, 0)
+
+        def value(m):
+            return (prod(p ** max(e, 0) for p, e in zip(point, m))
+                    - prod(p ** max(-e, 0) for p, e in zip(point, m)))
+
+        assert any(value(g["m"]) for g in json.loads(out)["generators"])
 
 
 def p2_torus(tmp_path, q):
@@ -656,9 +677,11 @@ class TestMonomialSearchCap:
         assert out == ""
         assert "monomial search" in err
 
-    def test_saturated_cell_past_the_cap(self, capsys, tmp_path):
-        # (33, 33) is past the monomial cap, but follows from (32, 33),
-        # whose value is already |Y| = 50: the table gives it exactly
+    def test_saturated_cell_past_the_cap(self, capsys, tmp_path, monkeypatch):
+        # at a cap of 2,400, (33, 33) (work 2,412) is past it, but follows
+        # from (32, 33) (work 2,377), whose value is already |Y| = 50: the
+        # table gives it exactly
+        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 2400)
         doc = load_json("h2_q11.json")
         doc["task"].update(alpha1_values=[32, 33], alpha2_values=[33])
         f = tmp_path / "saturated.json"
@@ -671,6 +694,17 @@ class TestMonomialSearchCap:
         assert code == 3
         assert out == ""
         assert "monomial search" in err
+
+    def test_both_sides_of_the_cap(self, capsys):
+        # (33, 33) walks 134 nodes for 2,278 monomials; (1000, 1000) has
+        # 2,003,001 monomials, past the cap of 10^6
+        path = problem_path("h2_q11.json")
+        code, out, _ = run(capsys, "code", path, "--alpha", "33,33")
+        assert code == 0
+        assert (json.loads(out)["N"], json.loads(out)["k"]) == (50, 50)
+        code, out, err = run(capsys, "code", path, "--alpha", "1000,1000")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: monomial search passed 1000000 ")
 
 
 def test_fourier_motzkin_cap_exits_3(capsys, tmp_path):

@@ -213,9 +213,10 @@ class TestHilbert:
                    for b in fixture["alpha2_values"]} - set(cells)
         assert sum(len(monomial_basis(Degree(free=c), h2)) for c in skipped) == 1626
 
-    def test_saturated_cell_past_the_monomial_cap(self):
-        # (33, 33) is past the monomial cap, but (32, 33) has value |Y|
-        # and (33, 33) = (32, 33) + deg(x_1)
+    def test_saturated_cell_past_the_monomial_cap(self, monkeypatch):
+        # (33, 33) (work 2,412) is past the cap, but (32, 33) (work 2,377)
+        # has value |Y| and (33, 33) = (32, 33) + deg(x_1)
+        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 2400)
         st = make_h2()
         Y = zero_set_in_torus([[10, 0], [0, 5], [-10, 10], [0, -5]], st)
         assert hilbert_table(Y, [32, 33], [33], st) == [[50, 50]]

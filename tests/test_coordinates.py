@@ -1,18 +1,23 @@
 """Answers that do not change with coordinates.
 
-Two changes of coordinates describe the same variety, the same subgroup
-and the same graded piece:
+Three changes of coordinates describe the same variety, the same
+subgroup and the same graded piece:
 
-- a permutation of the rays, with the columns of beta, the cones and the
-  diagonal exponents a permuted to match;
-- a unimodular change of the rows of beta, with the degree alpha mapped
-  by it.
+1. a unimodular change phi -> phi V of the ray coordinates, with beta
+   kept;
+2. a permutation of the rays, with the columns of beta, the cones and the
+   diagonal exponents a permuted to match;
+3. a unimodular change of the rows of beta, with the degree alpha mapped
+   by it.
 
-Neither may change the degenerate torus Y_{a,h} (its order and its
-invariant factors), its vanishing lattice L(Y) up to the permutation of
-the coordinates, or N and k of the code C_{alpha,Y}.  The complete
-intersection verdict is left out: it tests a Hermite basis, which
-depends on the order of the variables.
+None may change the order and the invariant factors of the degenerate
+torus Y_{a,h}, its vanishing lattice L(Y) up to the permutation of the
+coordinates, or N and k of the code C_{alpha,Y}.  Without change 1, Y
+itself stays the same.  The monomials of degree alpha are those of the
+mapped degree with their exponents permuted: changes 2 and 3 give the
+enumerator other trailing columns to solve.  The complete intersection
+verdict is left out: it tests a Hermite basis, which depends on the
+order of the variables.
 """
 
 from hypothesis import given, settings
@@ -21,7 +26,8 @@ from hypothesis import strategies as hst
 from conftest import H2_CONES, hirzebruch_rays
 from torilat import intlin
 from torilat.codes import code_parameters
-from torilat.grading import Degree, ToricSetup, degree_of, setup_from_beta
+from torilat.grading import (Degree, ToricSetup, degree_of, monomial_basis,
+                             setup_from_beta)
 from torilat.torus import degenerate_torus, group_structure, vanishing_lattice
 
 VARIETIES = {
@@ -33,29 +39,20 @@ VARIETIES = {
 }
 
 
-def changed(setup, perm, U):
-    """The setup with ray i' = perm[i'] of `setup` and beta's rows mixed by
-    the unimodular U.  The rays were checked when `setup` was built."""
-    phi = [setup.phi[j] for j in perm]
+def changed(setup, V, perm, U):
+    """The setup with ray i' = perm[i'] of `setup` in the coordinates of
+    the unimodular V and beta's rows mixed by the unimodular U.  The rays
+    were checked when `setup` was built."""
+    phi = intlin.mat_mul([setup.phi[j] for j in perm], V)
     beta = intlin.mat_mul(U, [[row[j] for j in perm] for row in setup.beta_free])
     new = {j: i for i, j in enumerate(perm)}
     cones = [[new[j] for j in c] for c in setup.max_cones or ()]
     return ToricSetup(phi, beta, [], setup.q, cones or None, check_primitive=False)
 
 
-@hst.composite
-def coordinate_changes(draw):
-    """(setup, a, h, alpha, perm, U): H_2, P^2 or P(1,1,1,3) at q <= 13, a
-    degenerate torus Y_{a,h}, a degree of monomials of exponents at most
-    2, a ray permutation and a unimodular k x k matrix."""
-    q = draw(hst.sampled_from([5, 7, 11, 13]))
-    setup = VARIETIES[draw(hst.sampled_from(sorted(VARIETIES)))](q)
-    r, k = setup.r, setup.k
-    h = draw(hst.sampled_from([d for d in range(1, q) if (q - 1) % d == 0]))
-    a = draw(hst.lists(hst.integers(1, q - 2), min_size=r, max_size=r))
-    alpha = degree_of(draw(hst.lists(hst.integers(0, 2), min_size=r, max_size=r)),
-                      setup)
-    perm = draw(hst.permutations(range(r)))
+def unimodular(draw, k):
+    """A k x k integer matrix of determinant +-1: a few row additions and
+    a sign."""
     U = intlin.identity(k)
     for _ in range(draw(hst.integers(0, 3))):
         i, j = draw(hst.integers(0, k - 1)), draw(hst.integers(0, k - 1))
@@ -64,22 +61,44 @@ def coordinate_changes(draw):
             U[i] = [x + c * y for x, y in zip(U[i], U[j])]
     sign = draw(hst.sampled_from([-1, 1]))
     U[0] = [sign * x for x in U[0]]
-    return setup, a, h, alpha, perm, U
+    return U
+
+
+@hst.composite
+def coordinate_changes(draw):
+    """(setup, a, h, alpha, V, perm, U): H_2, P^2 or P(1,1,1,3) at
+    q <= 13, a degenerate torus Y_{a,h}, a degree of monomials of
+    exponents at most 4, a unimodular n x n matrix (the identity half of
+    the time), a ray permutation and a unimodular k x k matrix."""
+    q = draw(hst.sampled_from([5, 7, 11, 13]))
+    setup = VARIETIES[draw(hst.sampled_from(sorted(VARIETIES)))](q)
+    r, k = setup.r, setup.k
+    h = draw(hst.sampled_from([d for d in range(1, q) if (q - 1) % d == 0]))
+    a = draw(hst.lists(hst.integers(1, q - 2), min_size=r, max_size=r))
+    alpha = degree_of(draw(hst.lists(hst.integers(0, 4), min_size=r, max_size=r)),
+                      setup)
+    V = unimodular(draw, setup.n) if draw(hst.booleans()) else intlin.identity(setup.n)
+    perm = draw(hst.permutations(range(r)))
+    return setup, a, h, alpha, V, perm, unimodular(draw, k)
 
 
 @settings(max_examples=150, deadline=None)
 @given(coordinate_changes())
 def test_subgroup_and_code_keep_their_invariants(case):
-    setup, a, h, alpha, perm, U = case
-    other = changed(setup, perm, U)
+    setup, a, h, alpha, V, perm, U = case
+    other = changed(setup, V, perm, U)
     Y, _ = degenerate_torus(a, h, setup)
     Y2, _ = degenerate_torus([a[j] for j in perm], h, other)
-    # phi^T s is unchanged when s is permuted with the rays: the same
-    # canonical forms, so the same subgroup
-    assert Y2 == Y and len(Y2) == len(Y)
+    assert len(Y2) == len(Y)
+    if V == intlin.identity(setup.n):
+        # phi^T s is unchanged when s is permuted with the rays: the same
+        # canonical forms, so the same subgroup
+        assert Y2 == Y
     assert group_structure(Y2, other).orders == group_structure(Y, setup).orders
     L = vanishing_lattice(Y, setup)
     assert intlin.lattice_equal(vanishing_lattice(Y2, other), [L[j] for j in perm])
     alpha2 = Degree(free=tuple(intlin.mat_vec(U, list(alpha.free))))
     c, c2 = code_parameters(Y, alpha, setup), code_parameters(Y2, alpha2, other)
     assert (c2.N, c2.k) == (c.N, c.k)
+    permuted = sorted(tuple(m[j] for j in perm) for m in monomial_basis(alpha, setup))
+    assert monomial_basis(alpha2, other) == permuted

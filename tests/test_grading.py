@@ -1,6 +1,5 @@
 """Grading setup, degrees, homogeneity, monomial enumeration."""
 
-import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
@@ -11,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import oracles
-from conftest import load_json, make_h2, make_p113, rows_to_lattice
-from torilat import cli, grading, intlin
+from conftest import make_h2, make_p113, rows_to_lattice
+from torilat import grading, intlin
 from torilat.codes import hilbert_function
 from torilat.errors import CapExceededError, InternalError, ValidationError
 from torilat.grading import (
@@ -338,31 +337,12 @@ class TestMonomialBasis:
         assert got == brute_force_monomials(p113, alpha, 6)
 
     def test_search_cap(self, monkeypatch):
-        # (20, 10) visits 138,330 search nodes for its 341 monomials
-        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 100_000)
-        with pytest.raises(CapExceededError):
+        # (20, 10) walks 52 nodes for its 341 monomials
+        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 392)
+        with pytest.raises(CapExceededError, match="^monomial search passed 392 "):
             monomial_basis(Degree(free=(20, 10)), make_h2())
-        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 140_000)
+        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 393)
         assert len(monomial_basis(Degree(free=(20, 10)), make_h2())) == 341
-
-    def test_search_cap_at_the_node_count(self, monkeypatch):
-        # the cap bounds nodes, not calls: solving the last exponent
-        # instead of trying its values still trips it at the same node
-        h2 = make_h2()
-        mons, nodes = oracles.monomials_by_full_search((20, 10), h2, range(4))
-        assert (len(mons), nodes) == (341, 138_330)
-        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 138_329)
-        with pytest.raises(CapExceededError):
-            monomial_basis(Degree(free=(20, 10)), h2)
-        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 138_330)
-        assert monomial_basis(Degree(free=(20, 10)), h2) == mons
-
-    def test_real_cap_splits_32_and_33(self, h2):
-        # the full search visits 4,526,181 nodes at (32, 32) and 5,090,310
-        # at (33, 33), either side of the 5 * 10**6 cap
-        assert len(monomial_basis(Degree(free=(32, 32)), h2)) == 2145
-        with pytest.raises(CapExceededError):
-            monomial_basis(Degree(free=(33, 33)), h2)
 
     @pytest.mark.parametrize("d", [10**6, 10**30])
     @pytest.mark.parametrize("setup", [
@@ -371,14 +351,8 @@ class TestMonomialBasis:
         setup_from_rays([[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]], 11,
                         [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]),
     ], ids=["h2", "blowup"])
-    def test_huge_degree_trips_before_any_table(self, monkeypatch, setup, d):
-        # a table this large would pass the values the count may keep, so
-        # the count runs over the budgets the search reaches and stops at
-        # the cap
-        def refuse(*args):
-            raise AssertionError("count table built")
-
-        monkeypatch.setattr(grading, "_count_table", refuse)
+    def test_huge_degree_trips_before_any_table(self, setup, d):
+        # the first node of the walk has more children than the cap
         alpha = degree_of([d] * setup.r, setup)
         with pytest.raises(CapExceededError):
             monomial_basis(alpha, setup)
@@ -389,13 +363,10 @@ class TestMonomialBasis:
         ((10**6, 10**6 + 1, 1), 3 * 10**9),
         ((1000, 1001, 1), 3 * 10**6),
     ])
-    def test_large_weights_trip_in_little_memory(self, monkeypatch, weights, d):
-        # the first two levels hold fewer nodes than the cap, the third
-        # far more: the count stops there and keeps next to nothing
-        def refuse(*args):
-            raise AssertionError("count table built")
-
-        monkeypatch.setattr(grading, "_count_table", refuse)
+    def test_large_weights_trip_in_little_memory(self, weights, d):
+        # the walk's one level holds fewer nodes than the cap, but its
+        # leaves hold far more monomials: the work passes the cap after a
+        # few hundred leaves, and no monomial is listed
         setup = setup_from_beta([list(weights)], 11)
         tracemalloc.start()
         try:
@@ -442,109 +413,29 @@ def searches(draw):
 @settings(max_examples=300, deadline=None)
 @given(searches())
 def test_enumeration_matches_full_search(case):
-    """Same monomials in the same order, and the cap trips at the same
-    node, as the search over every value of every exponent."""
+    """Same monomials in the same order as the search over every value of
+    every exponent."""
     setup, alpha = case
-    want, nodes = oracles.monomials_by_full_search(alpha, setup, range(setup.r))
-    with mock.patch.object(grading, "MONOMIAL_SEARCH_CAP", nodes):
-        assert grading._enumerate_solutions(alpha, setup) == want
-    if nodes > 1:  # the root is counted but never checked against the cap
-        with mock.patch.object(grading, "MONOMIAL_SEARCH_CAP", nodes - 1):
-            with pytest.raises(CapExceededError):
-                grading._enumerate_solutions(alpha, setup)
+    want, _ = oracles.monomials_by_full_search(alpha, setup, range(setup.r))
+    assert grading._enumerate_solutions(alpha, setup) == want
 
 
-@hst.composite
-def deep_searches(draw):
-    """Degrees up to 40, whose searches run to millions of nodes, a cap
-    that the search may pass at any node, and the values the count may
-    keep: few enough, at times, that it cannot read a table."""
-    setup, _ = draw(searches())
-    alpha = tuple(
-        draw(hst.lists(hst.integers(0, 40), min_size=setup.k, max_size=setup.k))
-    )
-    memo = draw(hst.sampled_from([grading._COUNT_MEMO, 0, 3, 50]))
-    return setup, alpha, draw(hst.integers(1, 20_000)), memo
-
-
-@settings(max_examples=200, deadline=None)
-@given(deep_searches())
-def test_cap_trips_where_the_full_search_passes_it(case):
-    """The cap trips exactly when the full search passes it, however
-    deep."""
-    setup, alpha, cap, memo = case
-    want, _ = oracles.monomials_by_full_search(alpha, setup, range(setup.r),
-                                               limit=cap)
-    with mock.patch.multiple(grading, MONOMIAL_SEARCH_CAP=cap, _COUNT_MEMO=memo):
-        if want is None:
+@settings(max_examples=300, deadline=None)
+@given(searches(), hst.one_of(hst.integers(-2, 1), hst.integers(-3000, 3000)))
+def test_cap_trips_when_the_work_passes_it(case, offset):
+    """The cap trips exactly when the nodes of the walk over the exponents
+    before t plus the monomials pass it, at a cap near that work or
+    anywhere in the walk."""
+    setup, alpha = case
+    want, _ = oracles.monomials_by_full_search(alpha, setup, range(setup.r))
+    _, nodes = oracles.monomials_by_full_search(alpha, setup, range(setup._plan[6]))
+    cap = max(1, nodes + len(want) + offset)
+    with mock.patch.object(grading, "MONOMIAL_SEARCH_CAP", cap):
+        if nodes + len(want) > cap:
             with pytest.raises(CapExceededError):
                 grading._enumerate_solutions(alpha, setup)
         else:
             assert grading._enumerate_solutions(alpha, setup) == want
-
-
-@settings(max_examples=200, deadline=None)
-@given(hst.lists(hst.integers(1, 6), min_size=1, max_size=5),
-       hst.integers(0, 40), hst.integers(0, 60))
-def test_count_without_a_table_reads_the_table(ws, budget, memo):
-    """Summed over the budgets it reaches, keeping at most `memo`
-    values, the count gives every entry of the table."""
-    table = grading._count_table(ws, budget)
-    with mock.patch.object(grading, "_COUNT_MEMO", memo):
-        below = grading._counter(ws)
-        for i in reversed(range(len(ws))):
-            for c in range(budget + 1):
-                assert below(i, c, 10**9) == table[i][c]
-
-
-@pytest.mark.parametrize("make", [make_h2, make_p113], ids=["h2", "p113"])
-@pytest.mark.parametrize("order", ["ascending", "shuffled"])
-def test_one_count_table_per_setup_reads_fresh_tables(make, order):
-    """Budgets 0..300 read from the setup's one growing table give the
-    node counts of a table built for each budget alone."""
-    setup = make()
-    ws = setup._plan[2]
-    budgets = list(range(301))
-    if order == "shuffled":
-        random.Random(7).shuffle(budgets)
-    for b in budgets:
-        fresh = grading._count_table(ws, b)
-        assert grading._full_count(setup, b) == 1 + fresh[0][b]
-    assert len(setup._counts[0]) >= 301
-
-
-def test_count_table_grows_by_doubling(monkeypatch):
-    """Over the 961 degrees (i, j) with 0 <= i, j <= 30 the table is
-    rebuilt only when a budget passes its end, at least twice as wide
-    each time: 7 builds, where a table per degree made 961."""
-    built = []
-    table = grading._count_table
-
-    def spy(ws, top):
-        built.append(top)
-        return table(ws, top)
-
-    monkeypatch.setattr(grading, "_count_table", spy)
-    setup = make_h2()
-    for i in range(31):
-        for j in range(31):
-            monomial_basis(Degree(free=(i, j)), setup)
-    # w = (1, 3): the budgets run up to 120
-    assert positive_functional(setup) == [1, 3]
-    assert built == [0, 3, 7, 15, 31, 63, 127]
-
-
-def test_cap_split_on_a_grown_table():
-    """On the h2_q11 fixture, the (32, 32) / (33, 33) cap split holds with
-    the table grown over the smaller degrees first, and with neither."""
-    doc = load_json("h2_q11.json")
-    grown, fresh = cli._load_setup(doc), cli._load_setup(doc)
-    for i in range(32):
-        monomial_basis(Degree(free=(i, i)), grown)
-    for setup in (grown, fresh):
-        with pytest.raises(CapExceededError):
-            monomial_basis(Degree(free=(33, 33)), setup)
-        assert len(monomial_basis(Degree(free=(32, 32)), setup)) == 2145
 
 
 def all_cones(r, size):
@@ -622,9 +513,9 @@ class TestSemigroupMembership:
     ])
     def test_huge_degrees_need_no_count(self, monkeypatch, name, alpha, want):
         def refuse(*args):
-            raise AssertionError("monomial search counted")
+            raise AssertionError("monomials enumerated")
 
-        monkeypatch.setattr(grading, "_full_count", refuse)
+        monkeypatch.setattr(grading, "_enumerate_solutions", refuse)
         assert in_semigroup_Khat(Degree(free=alpha), COMPLETE[name]) is want
 
 
