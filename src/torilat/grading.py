@@ -18,9 +18,9 @@ from . import intlin
 from .errors import CapExceededError, InternalError, ValidationError
 from .gfield import PrimeField
 
-# The nodes an enumeration's walk visits plus the monomials it finds,
-# counted before any is listed: (33, 33) on H_2 needs 2,412.
-MONOMIAL_SEARCH_CAP = 10**6
+# Walk nodes plus monomials of an enumeration, counted before any is
+# listed.  Each is a node of the search of every value of every exponent.
+MONOMIAL_SEARCH_CAP = 5 * 10**6
 # Constraints one level of the Fourier-Motzkin elimination may hold.  A
 # level holds |pos| * |neg| + |zero| of them, so their number can grow
 # doubly exponentially in k (a k = 6 grading reaches 4.5 * 10^9).
@@ -409,8 +409,8 @@ def _enumerate_solutions(alpha_free, setup):
     The work is the nodes the walk visits plus the monomials it finds:
     each walk node adds its children, each leaf the length of its
     progression.  CapExceededError is raised as soon as it passes
-    MONOMIAL_SEARCH_CAP, and the leaves are kept until the walk ends, so
-    a refused degree lists no monomial."""
+    MONOMIAL_SEARCH_CAP; leaves are kept as records until the walk ends,
+    so a refused degree lists no monomial, though it holds their records."""
     w, cols, ws, size, D, adj, lead, Q, checks = setup._plan
     target = list(alpha_free)
     budget = sum(map(mul, w, target))

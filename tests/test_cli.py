@@ -696,15 +696,15 @@ class TestMonomialSearchCap:
         assert "monomial search" in err
 
     def test_both_sides_of_the_cap(self, capsys):
-        # (33, 33) walks 134 nodes for 2,278 monomials; (1000, 1000) has
-        # 2,003,001 monomials, past the cap of 10^6
+        # (33, 33) walks 134 nodes for 2,278 monomials; (2000, 2000) has
+        # 8,006,001 monomials, past the cap of 5 * 10^6
         path = problem_path("h2_q11.json")
         code, out, _ = run(capsys, "code", path, "--alpha", "33,33")
         doc = json.loads(out)
         assert (code, doc["N"], doc["k"]) == (0, 50, 50)
-        code, out, err = run(capsys, "code", path, "--alpha", "1000,1000")
+        code, out, err = run(capsys, "code", path, "--alpha", "2000,2000")
         assert (code, out) == (3, "")
-        assert err.startswith("error: monomial search passed 1000000 ")
+        assert err.startswith("error: monomial search passed 5000000 ")
 
 
 def test_fourier_motzkin_cap_exits_3(capsys, tmp_path):

@@ -344,6 +344,14 @@ class TestMonomialBasis:
         monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 393)
         assert len(monomial_basis(Degree(free=(20, 10)), make_h2())) == 341
 
+    def test_what_the_full_search_fit_is_answered(self):
+        # P^7 at degree 20: the walk's 296,010 nodes plus the 888,030
+        # monomials pass 10^6, but the search of every value of every
+        # exponent visits 4,292,145 nodes, under the cap
+        mons = grading._enumerate_solutions((20,), setup_from_beta([[1] * 8], 11))
+        assert len(mons) == 888_030
+        assert (mons[0], mons[-1]) == ((0,) * 7 + (20,), (20,) + (0,) * 7)
+
     @pytest.mark.parametrize("d", [10**6, 10**30])
     @pytest.mark.parametrize("setup", [
         make_h2(),
@@ -360,13 +368,13 @@ class TestMonomialBasis:
         assert in_semigroup_Khat(alpha, setup)
 
     @pytest.mark.parametrize("weights, d", [
-        ((10**6, 10**6 + 1, 1), 3 * 10**9),
-        ((1000, 1001, 1), 3 * 10**6),
+        ((10**5, 10**5 + 1, 1), 3 * 10**9),
+        ((100, 101, 1), 3 * 10**6),
     ])
     def test_large_weights_trip_in_little_memory(self, weights, d):
-        # the walk's one level holds fewer nodes than the cap, but its
-        # leaves hold far more monomials: the work passes the cap after a
-        # few hundred leaves, and no monomial is listed
+        # the walk's one level holds 30,001 nodes, under the cap, but its
+        # leaves hold about 4.5 * 10^8 monomials: the work passes the cap
+        # after a few hundred leaves, and no monomial is listed
         setup = setup_from_beta([list(weights)], 11)
         tracemalloc.start()
         try:
@@ -425,10 +433,12 @@ def test_enumeration_matches_full_search(case):
 def test_cap_trips_when_the_work_passes_it(case, offset):
     """The cap trips exactly when the nodes of the walk over the exponents
     before t plus the monomials pass it, at a cap near that work or
-    anywhere in the walk."""
+    anywhere in the walk.  That work is at most the nodes of the search
+    of every value of every exponent."""
     setup, alpha = case
-    want, _ = oracles.monomials_by_full_search(alpha, setup, range(setup.r))
+    want, full = oracles.monomials_by_full_search(alpha, setup, range(setup.r))
     _, nodes = oracles.monomials_by_full_search(alpha, setup, range(setup._plan[6]))
+    assert nodes + len(want) <= full
     cap = max(1, nodes + len(want) + offset)
     with mock.patch.object(grading, "MONOMIAL_SEARCH_CAP", cap):
         if nodes + len(want) > cap:
