@@ -21,10 +21,6 @@ from .gfield import PrimeField
 # Walk nodes plus monomials of an enumeration, counted before any is
 # listed.  Each is a node of the search of every value of every exponent.
 MONOMIAL_SEARCH_CAP = 5 * 10**6
-# Constraints one level of the Fourier-Motzkin elimination may hold.  A
-# level holds |pos| * |neg| + |zero| of them, so their number can grow
-# doubly exponentially in k (a k = 6 grading reaches 4.5 * 10^9).
-FM_CONSTRAINT_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -150,14 +146,16 @@ class ToricSetup:
         """The tuple `positive_functional` hands out as a list, or None."""
         if self.k == 0:
             return None
-        cons = list(zip(*self.beta_free))
-        found = _fm_find(cons, self.k)
-        if found is None:
+        v, u = _phase_one(self.beta_free)
+        if v is None:
+            # u is the exponent vector of a nonconstant monomial of degree 0
+            if (not any(u) or min(u) < 0
+                    or any(sum(map(mul, row, u)) for row in self.beta_free)):
+                raise InternalError("degree-zero monomial verification failed")
             return None
-        v, _ = found
         g = gcd(*v)
         w = tuple(x // g for x in v)
-        if any(sum(map(mul, w, c)) <= 0 for c in cons):
+        if any(sum(map(mul, w, c)) <= 0 for c in zip(*self.beta_free)):
             raise InternalError("positive functional verification failed")
         return w
 
@@ -256,74 +254,67 @@ def is_homogeneous(L, setup: ToricSetup) -> bool:
 # positive functional -------------------------------------------------
 
 
-def _fm_find(cons, k):
-    """(v, D) with D > 0 and c . v > 0 for every c in cons, or None: the
-    w = v / D in Q^k of a homogeneous system of strict inequalities.
+def _phase_one(beta):
+    """(w, None) with w . beta_j > 0 on every column beta_j of beta
+    (k x r, k >= 1), or (None, u) with u >= 0, u != 0 and beta u = 0:
+    Gordan's alternative, decided by phase 1 of the simplex method on
+    [beta; 1 ... 1] u = e_{k+1}, u >= 0, from a basis of k + 1
+    artificial columns.
 
-    Fourier-Motzkin, last variable first.  The elimination only
-    multiplies and subtracts, so the constraints stay integers.  The
-    back-substitution keeps the partial solution over one common
-    denominator, compares bounds by cross-multiplying, and sets the new
-    coordinate to lower + 1, upper - 1 or the midpoint of the two.
-    A level of more than FM_CONSTRAINT_CAP constraints raises
-    CapExceededError before it is built.
+    The tableau T holds integers: the true entries times D, the last
+    pivot (1 before the first).  A pivot on p keeps its row and sets
+    every other row to (p * row - f * prow) / D, which divides exactly
+    (Bareiss).  Bland's rule (the lowest column of negative reduced
+    cost enters; ties in the ratio test leave by the lowest basic
+    index) makes the method finite.  At a positive optimum the duals y
+    of the artificial rows satisfy beta_j . y[:k] + y[k] <= 0 < y[k] on
+    every column, so w = -y[:k]; at optimum 0 (z[-1], minus the optimum
+    times D) the basic columns give u.  Neither is reduced: the caller
+    checks it.
     """
-    if k == 0:
-        return ([], 1) if not cons else None
-    pos = [c for c in cons if c[k - 1] > 0]
-    neg = [c for c in cons if c[k - 1] < 0]
-    combined = [c[: k - 1] for c in cons if c[k - 1] == 0]
-    if len(pos) * len(neg) + len(combined) > FM_CONSTRAINT_CAP:
-        raise CapExceededError(
-            f"Fourier-Motzkin elimination passed {FM_CONSTRAINT_CAP} constraints")
-    for p in pos:
-        for m in neg:
-            # eliminate w_{k-1}: rest_m * p_k + rest_p * (-m_k) > 0
-            pk, mk = p[k - 1], m[k - 1]
-            combined.append(tuple(m[i] * pk - p[i] * mk for i in range(k - 1)))
-    # an all-zero combined constraint reads 0 > 0: infeasible
-    if not all(map(any, combined)):
-        return None
-    found = _fm_find(combined, k - 1)
-    if found is None:
-        return None
-    v, D = found
-    # c . (v / D, x) > 0 bounds x by -(c[:k-1] . v) / (D c_k), kept as
-    # (numerator, denominator > 0); map stops at the end of v
-    lower = upper = None
-    for c in pos:
-        num, den = -sum(map(mul, c, v)), D * c[k - 1]
-        if lower is None or num * lower[1] > lower[0] * den:
-            lower = (num, den)
-    for c in neg:
-        num, den = sum(map(mul, c, v)), -D * c[k - 1]
-        if upper is None or num * upper[1] < upper[0] * den:
-            upper = (num, den)
-    if lower is None and upper is None:
-        x, d = 1, 1
-    elif upper is None:
-        x, d = lower[0] + lower[1], lower[1]
-    elif lower is None:
-        x, d = upper[0] - upper[1], upper[1]
-    else:
-        (ln, ld), (un, ud) = lower, upper
-        if ln * ud >= un * ld:
-            return None  # cannot happen if FM is consistent
-        x, d = ln * ud + un * ld, 2 * ld * ud
-    v = [a * d for a in v] + [x * D]
-    D *= d
-    g = gcd(D, *v)
-    return [a // g for a in v], D // g
+    k, r = len(beta), len(beta[0])
+    m = k + 1
+    T = [list(row) + [0] * (m + 1) for row in beta] + [[1] * r + [0] * m + [1]]
+    for i in range(m):
+        T[i][r + i] = 1
+    # reduced costs of phase 1 (the sum of the artificials), times D
+    z = [-sum(col) - 1 for col in zip(*beta)] + [0] * m + [-1]
+    basis = list(range(r, r + m))
+    D = 1
+    # only columns of u enter: an artificial that leaves is not needed again
+    while (j := next((j for j in range(r) if z[j] < 0), None)) is not None:
+        # phase 1 is bounded below, so some entry of column j is positive;
+        # ratios T[l][-1] / T[l][j] are compared by cross-multiplying
+        i = None
+        for l in range(m):
+            if T[l][j] > 0 and (i is None or (T[l][-1] * T[i][j], basis[l])
+                                < (T[i][-1] * T[l][j], basis[i])):
+                i = l
+        prow, p = T[i], T[i][j]
+        for row in T + [z]:
+            f = row[j]
+            # a row with f = 0 only scales by p / D
+            if row is not prow and (f or p != D):
+                row[:] = [(p * x - f * y) // D for x, y in zip(row, prow)]
+        basis[i], D = j, p
+    if z[-1] == 0:
+        u = [0] * r
+        for i, b in enumerate(basis):
+            if b < r:
+                u[b] = T[i][-1]
+        return None, u
+    return [z[r + i] - D for i in range(k)], None
 
 
 def positive_functional(setup: ToricSetup):
     """Integer w with w . deg(x_j) > 0 for all j, or None if the degree
     semigroup is not pointed.  Computed on the free part of the grading.
 
-    w is the primitive integer vector on the ray of the Fourier-Motzkin
-    solution (`_fm_find`): its integer numerators divided by their gcd.
-    It is computed once per setup (`ToricSetup._functional`), and
-    checked against every column before it is handed out."""
+    w is the primitive integer vector on the ray of the functional that
+    the duals of one phase-1 simplex LP give (`_phase_one`).  It is
+    computed once per setup (`ToricSetup._functional`), and checked
+    against every column before it is handed out; so is the exponent
+    vector u >= 0, u != 0 of degree 0 that answers None."""
     w = setup._functional
     return None if w is None else list(w)
 

@@ -29,8 +29,9 @@ Minimum distance: the search one projective message at a time that the
 batched search in `torilat.codes.minimum_distance` replaced.
 
 Positive functional: Fourier-Motzkin elimination in `Fraction`s, which
-`torilat.grading.positive_functional` replaced with the same elimination
-in integers over one common denominator.
+`torilat.grading.positive_functional` replaced with one phase-1 simplex
+LP in integers.  The two agree on whether a functional exists, not on
+which one they find.
 
 Monomial enumeration: the search that tries every value of every
 exponent, which `torilat.grading._enumerate_solutions` replaced by

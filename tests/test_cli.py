@@ -433,10 +433,17 @@ class TestOutputsAndErrors:
         assert err == f"error: subgroup has {1008**3} points, cap is 1000000\n"
 
     def test_failed_functional_check_exit_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(grading, "_fm_find", lambda cons, k: ([-1] * k, 1))
+        monkeypatch.setattr(grading, "_phase_one", lambda beta: ([-1] * len(beta), None))
         code, out, err = run(capsys, "degenerate-lattice", problem_path("h2_a2455.json"))
         assert (code, out) == (4, "")
         assert err == "internal error: positive functional verification failed\n"
+
+    def test_failed_monomial_check_exit_4(self, capsys, monkeypatch):
+        # x1 has degree (1, 0), not 0
+        monkeypatch.setattr(grading, "_phase_one", lambda beta: (None, [1, 0, 0, 0]))
+        code, out, err = run(capsys, "degenerate-lattice", problem_path("h2_a2455.json"))
+        assert (code, out) == (4, "")
+        assert err == "internal error: degree-zero monomial verification failed\n"
 
     def test_composite_q_exit_2(self, capsys, tmp_path):
         doc = {"variety": {"beta": [[1, 1]]}, "field": {"q": 9}, "task": {}}
@@ -707,21 +714,25 @@ class TestMonomialSearchCap:
         assert err.startswith("error: monomial search passed 5000000 ")
 
 
-def test_fourier_motzkin_cap_exits_3(capsys, tmp_path):
-    # a k = 6, r = 12 grading whose elimination levels would hold 12, 23,
-    # 106, 1,785, 618,680 and about 4.5 * 10^9 constraints
-    beta = [[1, 0, -1, 0, 0, 0, 0, 2, 0, -1, 2, 2],
-            [1, 1, 1, -1, 1, 0, 1, 0, -1, 1, 1, 0],
-            [0, 0, 1, 1, 0, -1, -1, 0, 1, 0, 1, 0],
-            [0, 0, -2, 1, 0, 0, 0, -1, 0, 2, -1, 3],
-            [-4, -2, 1, -1, 0, 0, 3, 1, 3, -2, 2, -1],
-            [-2, -5, 0, -2, -1, 1, 4, 0, -5, -5, 3, -7]]
-    f = tmp_path / "k6.json"
-    f.write_text(json.dumps({"variety": {"beta": beta}, "field": {"q": 11},
-                             "task": {"a": [0] * 12, "alpha": [0] * 6}}))
-    code, out, err = run(capsys, "code", str(f))
-    assert (code, out) == (3, "")
-    assert err == "error: Fourier-Motzkin elimination passed 100000 constraints\n"
+@pytest.mark.parametrize("command", ["code", "degenerate-lattice"])
+def test_unpointed_k6_exits_2(capsys, command):
+    # x^u has degree 0 for u = (26, 9, 76, 177, 0, 187, 66, 25, 0, 0, 0, 0);
+    # a Fourier-Motzkin elimination of these 12 columns would hold about
+    # 4.5 * 10^9 constraints at its last level
+    code, out, err = run(capsys, command, problem_path("unpointed_k6.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: grading is not pointed")
+
+
+def test_pointed_k5_answers(capsys):
+    # w = (26, 19, -28, 6, -28) is positive on every column, though no
+    # row of beta is
+    path = problem_path("pointed_k5.json")
+    code, out, _ = run(capsys, "code", path, "--alpha", "1,0,0,0,0")
+    doc = json.loads(out)
+    assert (code, doc["N"], doc["k"]) == (0, 10**5, 0)
+    code, out, _ = run(capsys, "degenerate-lattice", path)
+    assert (code, json.loads(out)["D"]) == (0, [10] * 10)
 
 
 EMPTY_FAN_DOC = {

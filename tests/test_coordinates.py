@@ -27,14 +27,22 @@ from conftest import H2_CONES, hirzebruch_rays
 from torilat import intlin
 from torilat.codes import code_parameters
 from torilat.grading import (Degree, ToricSetup, degree_of, monomial_basis,
-                             setup_from_beta)
+                             setup_from_beta, setup_from_rays)
 from torilat.torus import degenerate_torus, group_structure, vanishing_lattice
 
 VARIETIES = {
     "h2": lambda q: ToricSetup(hirzebruch_rays(2), [[1, -2, 1, 0], [0, 1, 0, 1]],
                                [], q, H2_CONES),
+    "h3": lambda q: ToricSetup(hirzebruch_rays(3), [[1, -3, 1, 0], [0, 1, 0, 1]],
+                               [], q, H2_CONES),
+    # P^2 blown up at two points: class group Z^3
+    "blowup": lambda q: setup_from_rays([[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]], q,
+                                        [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]),
     "p2": lambda q: ToricSetup([[1, 0], [0, 1], [-1, -1]], [[1, 1, 1]], [], q,
                                [[0, 1], [1, 2], [2, 0]]),
+    "p3": lambda q: ToricSetup([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+                               [[1, 1, 1, 1]], [], q,
+                               [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
     "p113": lambda q: setup_from_beta([[1, 1, 1, 3]], q),
 }
 
@@ -66,10 +74,12 @@ def unimodular(draw, k):
 
 @hst.composite
 def coordinate_changes(draw):
-    """(setup, a, h, alpha, V, perm, U): H_2, P^2 or P(1,1,1,3) at
-    q <= 13, a degenerate torus Y_{a,h}, a degree of monomials of
-    exponents at most 4, a unimodular n x n matrix (the identity half of
-    the time), a ray permutation and a unimodular k x k matrix."""
+    """(setup, a, h, alpha, V, perm, U): H_2, H_3, the blow-up of P^2
+    at two points, P^2, P^3 or P(1,1,1,3) at q <= 13, a degenerate torus
+    Y_{a,h}, a degree of monomials of exponents at most 4, a unimodular
+    n x n matrix (the identity half of the time), a ray permutation and a
+    unimodular k x k matrix.  Under U the positive functional is found
+    anew, and may be another one."""
     q = draw(hst.sampled_from([5, 7, 11, 13]))
     setup = VARIETIES[draw(hst.sampled_from(sorted(VARIETIES)))](q)
     r, k = setup.r, setup.k

@@ -1,7 +1,6 @@
 """Grading setup, degrees, homogeneity, monomial enumeration."""
 
 import tracemalloc
-from fractions import Fraction
 from itertools import combinations, product
 from unittest import mock
 
@@ -252,10 +251,35 @@ class TestPositiveFunctional:
 
     def test_failed_verification_is_an_internal_error(self, monkeypatch):
         # a functional that is not positive on every degree is a fault of
-        # the elimination, not of the input
-        monkeypatch.setattr(grading, "_fm_find", lambda cons, k: ([-1] * k, 1))
+        # the LP, not of the input
+        monkeypatch.setattr(grading, "_phase_one", lambda beta: ([-1] * len(beta), None))
         with pytest.raises(InternalError, match="verification failed"):
             positive_functional(make_p113())
+
+    @pytest.mark.parametrize("u", [[0, 0], [-1, -1], [1, 0]],
+                             ids=["zero", "negative", "nonzero_degree"])
+    def test_failed_monomial_check_is_an_internal_error(self, monkeypatch, u):
+        # so is an exponent vector that is not a nonconstant monomial of
+        # degree 0, even on a grading that has one
+        monkeypatch.setattr(grading, "_phase_one", lambda beta: (None, u))
+        st = ToricSetup([[1], [1]], [[1, -1]], [], 5, check_primitive=True)
+        with pytest.raises(InternalError, match="degree-zero monomial verification"):
+            positive_functional(st)
+
+    @pytest.mark.parametrize("setup, w", [
+        (make_h2(), [1, 3]),
+        (make_h2(ell=3), [1, 4]),
+        (setup_from_rays([[1, 0], [0, 1], [-1, 2], [0, -1]], 11), [1, 1]),
+        (setup_from_rays([[1, 0], [0, 1], [-1, 3], [0, -1]], 11), [1, 1]),
+        (setup_from_rays([[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]], 11), [1, 1, 1]),
+        (setup_from_beta([[1, 1, 1]], 11), [1]),
+        (setup_from_beta([[1, 1, 1, 1]], 11), [1]),
+        (setup_from_beta([[1, 2, 3, 4, 5]], 11), [1]),
+    ], ids=["h2", "h3", "h2_rays", "h3_rays", "blowup", "p2", "p3", "p12345"])
+    def test_fixture_functionals(self, setup, w):
+        # the walk's budgets, and so its cap boundaries, follow w; P(1,1,1,3)
+        # is pinned above
+        assert positive_functional(setup) == w
 
 
 @hst.composite
@@ -279,31 +303,61 @@ def surjective_betas(draw):
 @settings(max_examples=300, deadline=None)
 @given(surjective_betas())
 def test_positive_functional_matches_fraction_oracle(beta):
-    """The integer elimination gives the functional of the elimination in
-    Fractions, or None with it."""
+    """The LP finds a functional exactly when Fourier-Motzkin in Fractions
+    does.  The two need not find the same one."""
     try:
         st = setup_from_beta(beta, 11)
     except ValidationError:
         # a coordinate that vanishes on ker(beta) has no ray
         assume(False)
-    assert positive_functional(st) == oracles.positive_functional_by_fractions(beta)
+    w = positive_functional(st)
+    assert (w is None) == (oracles.positive_functional_by_fractions(beta) is None)
+    if w is not None:
+        assert all(sum(a * b for a, b in zip(w, col)) > 0 for col in zip(*beta))
 
 
-@settings(max_examples=300, deadline=None)
-@given(hst.integers(1, 4).flatmap(lambda k: hst.lists(
-    hst.tuples(*[hst.integers(-4, 4)] * k), max_size=7).map(lambda c: (c, k))))
-def test_fm_find_matches_fraction_oracle(case):
-    """On any system, with zero and repeated constraints, the integer
-    elimination finds the Fraction oracle's w exactly: the same bounds,
-    the same midpoints, v / D = w."""
-    cons, k = case
-    want = oracles.fm_find_by_fractions(cons, k)
-    got = grading._fm_find(cons, k)
-    if want is None:
-        assert got is None
+@hst.composite
+def lp_gradings(draw):
+    """Any k x r integer matrix with 1 <= k <= 8 and k <= r <= 2k + 2,
+    dependent rows and zero columns included; half of the draws are made
+    pointed by a positive first row, then hidden by row additions."""
+    k = draw(hst.integers(1, 8))
+    r = draw(hst.integers(k, 2 * k + 2))
+    beta = [draw(hst.lists(hst.integers(-4, 4), min_size=r, max_size=r))
+            for _ in range(k)]
+    if draw(hst.booleans()):
+        beta[0] = [abs(x) + 1 for x in beta[0]]
+        for _ in range(draw(hst.integers(0, 2 * k))):
+            i, j = draw(hst.integers(0, k - 1)), draw(hst.integers(0, k - 1))
+            c = draw(hst.sampled_from([-2, -1, 1, 2]))
+            if i != j:
+                beta[i] = [a + c * b for a, b in zip(beta[i], beta[j])]
+    return beta
+
+
+@settings(max_examples=200, deadline=None)
+@given(lp_gradings())
+def test_phase_one_answers_with_a_certificate(beta):
+    """Either w . beta_j > 0 on every column, or u >= 0, u != 0, beta u = 0."""
+    w, u = grading._phase_one(beta)
+    if u is None:
+        assert all(sum(a * b for a, b in zip(w, col)) > 0 for col in zip(*beta))
     else:
-        v, D = got
-        assert D > 0 and [Fraction(x, D) for x in v] == want
+        assert w is None and min(u) >= 0 and any(u)
+        assert intlin.mat_vec(beta, u) == [0] * len(beta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lp_gradings())
+def test_phase_one_matches_linprog(beta):
+    """Pointed exactly when scipy's floating-point LP finds w with
+    beta^T w >= 1 (scipy is not a dependency)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    k, r = len(beta), len(beta[0])
+    res = linprog([0] * k, A_ub=[[-x for x in col] for col in zip(*beta)],
+                  b_ub=[-1] * r, bounds=[(None, None)] * k, method="highs")
+    assert res.status in (0, 2)
+    assert (grading._phase_one(beta)[0] is not None) == (res.status == 0)
 
 
 class TestMonomialBasis:
