@@ -2,21 +2,24 @@
 
 Evaluation matrices over F_q, code dimension via the multigraded
 Hilbert function (a count of monomial classes on a subgroup, a rank
-elsewhere), length, Hilbert tables (where a cell one degree of a
-variable above a cell of value |Y| is |Y| with no monomial listed),
-injectivity of evaluation on a degenerate torus, and an exhaustive
-minimum-distance search in batches, over one message per orbit on a
-subgroup.  All field arithmetic is exact modular arithmetic: numpy
-carries int64 residues, and in the distance search the narrowest
-unsigned ones that hold the values exactly.
+elsewhere), length, Hilbert tables (where a cell takes its value from
+the cells one degree of a variable below it when it can: |Y| above a
+cell of value |Y|, and on a subgroup the union of their class sets,
+with no monomial listed), injectivity of evaluation on a degenerate
+torus, and an exhaustive minimum-distance search in batches, over one
+message per orbit on a subgroup.  All field arithmetic is exact modular
+arithmetic: numpy carries int64 residues, and in the distance search
+the narrowest unsigned ones that hold the values exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mod, mul
 
 import numpy as np
 
+from . import grading
 from .errors import CapExceededError, ValidationError
 from .gfield import PrimeField
 from .grading import Degree, ToricSetup, monomial_basis, positive_functional
@@ -144,14 +147,28 @@ def hilbert_table(Y: PointSet, first_values, second_values, setup: ToricSetup):
     """grid[j][i] = hilbert_function(Y, (first_values[i], second_values[j]))
     for a rank-2 free grading.
 
-    Once H(alpha) = |Y|, H(alpha + deg(x_j)) = |Y|: x_j has no zero on
-    the torus, so multiplying by it maps the functions on Y onto
-    themselves, and the degree-alpha piece into the degree
-    alpha + deg(x_j) piece.  So the cells are visited in increasing
-    w . alpha (w the positive functional), and a cell alpha with a cell
-    alpha - deg(x_j) of value |Y| gets |Y| without listing a monomial;
-    the monomial cap applies only to the cells whose monomials are
-    listed.  A grading with no positive functional is not pointed: the
+    The cells are visited in increasing w . alpha (w the positive
+    functional), so the cells p_j = alpha - deg(x_j) of the table come
+    before alpha, and each cell is filled by the first rule that applies:
+
+    1. Some p_j has value |Y|: then alpha has too.  x_j has no zero on
+       the torus, so multiplying by it maps the functions on Y onto
+       themselves, and the degree-p_j piece into the degree-alpha piece.
+    2. On a subgroup, where a cell below |Y| keeps its set of classes
+       (labels a . s mod q-1 on `Y.basis_reps`, as in `_code`), at most
+       one p_j is unknown: neither a cell with a kept set nor outside the
+       degree cone (which has no monomial).  A degree-alpha monomial that
+       no x_j of a known p_j divides is a power of the unknown x_j (or
+       1), so the classes of alpha are those of each known p_j moved by
+       the label of x_j, and that of the power (or 1) when it has degree
+       alpha.  No monomial is listed.
+    3. Otherwise the monomials of alpha are listed (`_code`), and the
+       monomial cap applies to this cell.
+
+    Class sets are kept while their total stays within
+    MONOMIAL_SEARCH_CAP; a cell past it keeps none, and counts as
+    unknown to the cells above it.  On other point sets rule 1 alone
+    applies.  A grading with no positive functional is not pointed: the
     first cell it lists raises ValidationError, so it gives a value only
     for a grid with no cell."""
     if setup.k != 2 or setup.torsion:
@@ -161,13 +178,65 @@ def hilbert_table(Y: PointSet, first_values, second_values, setup: ToricSetup):
     if w is not None:
         cells.sort(key=lambda c: w[0] * c[0] + w[1] * c[1])
     steps = list(zip(*setup.beta_free))  # deg(x_j)
-    full, value = len(Y), {}
-    for a, b in cells:
-        if any(value.get((a - x, b - y)) == full for x, y in steps):
-            value[a, b] = full
+    full, value, sets = len(Y), {}, {}  # sets: cell -> its class labels
+    keep = Y.is_group and w is not None
+    if keep:
+        qm, reps = setup.q - 1, Y.basis_reps
+        qms = (qm,) * len(reps)
+        gens = [tuple(s[j] % qm for s in reps) for j in range(setup.r)]  # of x_j
+        (y1, y2), (z1, z2) = _cone_normals(steps)
+        kept = 0
+
+        def classes(p):
+            """The classes of degree p: kept, none off the cone, else None."""
+            if p in sets:
+                return sets[p]
+            x, y = p
+            return () if y1 * x + y2 * y < 0 or z1 * x + z2 * y < 0 else None
+
+    for alpha in cells:
+        a, b = alpha
+        preds = [(a - x, b - y) for x, y in steps]
+        if full in map(value.get, preds):
+            value[alpha] = full
+            continue
+        if keep and (known := list(map(classes, preds))).count(None) <= 1:
+            S = {(0,) * len(reps)} if alpha == (0, 0) else set()
+            for c, g, (x, y) in zip(known, gens, steps):
+                if c is not None:
+                    S.update(tuple(map(mod, map(add, label, g), qms)) for label in c)
+                    continue
+                # the unknown x_j: x_j^t, when it has degree alpha
+                t, rest = divmod(w[0] * a + w[1] * b, w[0] * x + w[1] * y)
+                if not rest and (t * x, t * y) == alpha:
+                    S.add(tuple(t * e % qm for e in g))
+            value[alpha] = len(S)
         else:
-            value[a, b] = hilbert_function(Y, Degree(free=(a, b)), setup)
+            k, a0, _, labels = _code(Y, Degree(free=alpha), setup)
+            value[alpha] = k
+            if not keep:
+                continue
+            S = set()
+            if k:  # _code labels a - a0, a0 its first monomial
+                base = [sum(map(mul, a0, s)) for s in reps]
+                S.update(map(tuple, ((labels + base) % qm).tolist()))
+        if len(S) < full and kept + len(S) <= grading.MONOMIAL_SEARCH_CAP:
+            sets[alpha], kept = S, kept + len(S)
     return [[value[a, b] for a in first_values] for b in second_values]
+
+
+def _cone_normals(steps):
+    """Integer y, y' with y . g >= 0 and y' . g >= 0 on every step g:
+    the degree cone of a pointed rank-2 grading is where both are >= 0.
+    Its two extreme rays are the steps most clockwise and most
+    counterclockwise, which the open half-plane w . g > 0 orders."""
+    u = v = steps[0]
+    for g in steps:
+        if u[0] * g[1] < u[1] * g[0]:
+            u = g
+        if g[0] * v[1] < g[1] * v[0]:
+            v = g
+    return (-u[1], u[0]), (v[1], -v[0])
 
 
 def injectivity_exact(a, h, alpha: Degree, setup: ToricSetup) -> bool:

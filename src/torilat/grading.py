@@ -143,21 +143,24 @@ class ToricSetup:
 
     @cached_property
     def _functional(self):
-        """The tuple `positive_functional` hands out as a list, or None."""
+        """(w, None) with w the tuple `positive_functional` hands out as a
+        list, or (None, u) with x^u a nonconstant monomial of degree 0,
+        u primitive."""
         if self.k == 0:
-            return None
+            return None, tuple(int(j == 0) for j in range(self.r))
         v, u = _phase_one(self.beta_free)
         if v is None:
             # u is the exponent vector of a nonconstant monomial of degree 0
             if (not any(u) or min(u) < 0
                     or any(sum(map(mul, row, u)) for row in self.beta_free)):
                 raise InternalError("degree-zero monomial verification failed")
-            return None
+            g = gcd(*u)
+            return None, tuple(x // g for x in u)
         g = gcd(*v)
         w = tuple(x // g for x in v)
         if any(sum(map(mul, w, c)) <= 0 for c in zip(*self.beta_free)):
             raise InternalError("positive functional verification failed")
-        return w
+        return w, None
 
     @cached_property
     def _plan(self):
@@ -315,7 +318,7 @@ def positive_functional(setup: ToricSetup):
     computed once per setup (`ToricSetup._functional`), and checked
     against every column before it is handed out; so is the exponent
     vector u >= 0, u != 0 of degree 0 that answers None."""
-    w = setup._functional
+    w = setup._functional[0]
     return None if w is None else list(w)
 
 
@@ -324,14 +327,21 @@ def positive_functional(setup: ToricSetup):
 
 def _require_pointed(setup):
     """The positive functional w of a pointed grading, else
-    ValidationError: then some nonconstant monomial has degree 0, and
-    its powers fill that graded piece."""
-    w = positive_functional(setup)
+    ValidationError naming a nonconstant monomial of degree 0: its powers
+    fill that graded piece."""
+    w, u = setup._functional
     if w is None:
         raise ValidationError(
-            "grading is not pointed: a nonconstant monomial has degree 0"
+            f"grading is not pointed: {monomial_text(u)} has degree 0"
         )
-    return w
+    return list(w)
+
+
+def monomial_text(exps) -> str:
+    """x1^e1*x2^e2*... over the nonzero exponents, "1" when none is."""
+    parts = [f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
+             for i, e in enumerate(exps) if e]
+    return "*".join(parts) if parts else "1"
 
 
 def _solved_block(cols, k):

@@ -16,7 +16,8 @@ from math import comb
 
 from . import intlin
 from .errors import CapExceededError, ValidationError
-from .grading import Degree, ToricSetup, is_homogeneous, monomial_basis, positive_functional
+from .grading import (Degree, ToricSetup, _require_pointed, is_homogeneous,
+                      monomial_basis, monomial_text)
 from .torus import TorusPoint, _diagonal_orders
 from .torus import parameterize_zero_set  # re-exported: the zero set of I_L
 
@@ -44,16 +45,8 @@ class Binomial:
         return tuple(max(-x, 0) for x in self.m)
 
     def text(self) -> str:
-        def mono(exps):
-            parts = [
-                f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
-                for i, e in enumerate(exps)
-                if e
-            ]
-            return "*".join(parts) if parts else "1"
-
-        head = mono(self.m_plus)
-        tail = mono(self.m_minus)
+        head = monomial_text(self.m_plus)
+        tail = monomial_text(self.m_minus)
         if self.scale == 1:
             return f"{head} - {tail}"
         return f"{head} - {self.scale}*{tail}"
@@ -156,10 +149,7 @@ def complete_intersection(L, setup: ToricSetup) -> bool:
     """
     if not is_homogeneous(L, setup):
         raise ValidationError("lattice is not homogeneous")
-    if positive_functional(setup) is None:
-        raise ValidationError(
-            "grading is not pointed; cannot certify L n N^r = {0}"
-        )
+    _require_pointed(setup)
     gamma = intlin.column_hermite_basis(L)
     return is_mixed(gamma) and is_dominating(gamma)
 

@@ -716,12 +716,13 @@ class TestMonomialSearchCap:
 
 @pytest.mark.parametrize("command", ["code", "degenerate-lattice"])
 def test_unpointed_k6_exits_2(capsys, command):
-    # x^u has degree 0 for u = (26, 9, 76, 177, 0, 187, 66, 25, 0, 0, 0, 0);
     # a Fourier-Motzkin elimination of these 12 columns would hold about
-    # 4.5 * 10^9 constraints at its last level
+    # 4.5 * 10^9 constraints at its last level; both commands name the
+    # monomial of degree 0 that the LP finds
     code, out, err = run(capsys, command, problem_path("unpointed_k6.json"))
     assert (code, out) == (2, "")
-    assert err.startswith("error: grading is not pointed")
+    assert err == ("error: grading is not pointed: x1^26*x2^9*x3^76*x4^177*"
+                   "x6^187*x7^66*x8^25 has degree 0\n")
 
 
 def test_pointed_k5_answers(capsys):

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from functools import lru_cache
 from unittest import mock
 
 import numpy as np
@@ -162,7 +163,7 @@ class TestHilbert:
         with pytest.raises(ValidationError):
             hilbert_table(Y, [0], [0], p113)
 
-    def test_table_of_a_grading_that_is_not_pointed(self):
+    def test_empty_table_of_a_grading_that_is_not_pointed(self):
         # x1 x2 has degree 0: a grid answers only when it has no cell
         st = setup_from_beta([[1, -1, 0, 0], [0, 0, 1, -1]], 7)
         Y = degenerate_torus([1, 1, 1, 1], 6, st)[0]
@@ -194,24 +195,35 @@ class TestHilbert:
             assert monomial_basis(Degree(free=alpha), st) == want
         assert len(built) == 1
 
-    def test_saturated_cells_list_no_monomials(self, h2, y10, monkeypatch):
-        # 25 of the 108 cells of the 6 x 18 table follow from a cell of
-        # value |Y| = 10, one step deg(x_j) below them
-        cells = []
-        function = codes.hilbert_function
-
-        def counting(Y, alpha, setup):
-            cells.append(alpha.free)
-            return function(Y, alpha, setup)
-
-        monkeypatch.setattr(codes, "hilbert_function", counting)
+    def test_saturated_cells_list_no_monomials(self, h2, y10):
+        # a cell is listed only when two of its cells alpha - deg(x_j)
+        # lie in the degree cone and outside the table: of the 108 cells
+        # of the 6 x 18 table, the three of the first column that x1 and
+        # x3 step into from (-6, b), which hold 2, 6 and 12 monomials
         fixture = load_json("hilbert_table_6x18.json")
-        assert hilbert_table(y10, fixture["alpha1_values"],
-                             fixture["alpha2_values"], h2) == fixture["grid"]
-        assert len(cells) == len(set(cells)) == 83
-        skipped = {(a, b) for a in fixture["alpha1_values"]
-                   for b in fixture["alpha2_values"]} - set(cells)
-        assert sum(len(monomial_basis(Degree(free=c), h2)) for c in skipped) == 1626
+        with mock.patch.object(codes, "_code", wraps=codes._code) as listed:
+            grid = hilbert_table(y10, fixture["alpha1_values"],
+                                 fixture["alpha2_values"], h2)
+        assert grid == fixture["grid"]
+        cells = [call.args[1].free for call in listed.call_args_list]
+        assert cells == [(-5, 3), (-5, 4), (-5, 5)]
+        assert sum(len(monomial_basis(Degree(free=c), h2)) for c in cells) == 20
+
+    def test_class_sets_past_the_cap_are_not_kept(self, h2, y10, monkeypatch):
+        # at a cap of 100 the class sets of the cells met first fill it,
+        # and the listing of each cell stays within it: 40 cells are
+        # listed, all of them among those that saturation alone lists,
+        # and the values stay the same
+        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 100)
+        fixture = load_json("hilbert_table_6x18.json")
+        with mock.patch.object(codes, "_code", wraps=codes._code) as listed:
+            grid = hilbert_table(y10, fixture["alpha1_values"],
+                                 fixture["alpha2_values"], h2)
+        assert grid == fixture["grid"]
+        cells = {call.args[1].free for call in listed.call_args_list}
+        assert len(cells) == listed.call_count == 40
+        assert cells < saturation_listed(h2, y10, fixture["alpha1_values"],
+                                         fixture["alpha2_values"], grid)
 
     def test_saturated_cell_past_the_monomial_cap(self, monkeypatch):
         # (33, 33) (work 2,412) is past the cap, but (32, 33) (work 2,377)
@@ -233,32 +245,79 @@ class TestHilbert:
 
 
 def table_degrees(data):
-    """The first and second values of a table, each a shuffled run of
-    consecutive integers, so that the steps deg(x_j) join its cells."""
-    a0, b0 = data.draw(hst.integers(-4, 8)), data.draw(hst.integers(0, 5))
-    first = data.draw(hst.permutations(range(a0, a0 + data.draw(hst.integers(1, 6)))))
-    second = data.draw(hst.permutations(range(b0, b0 + data.draw(hst.integers(1, 4)))))
-    return first, second
+    """The first and second values of a table, each shuffled: a run of
+    consecutive integers, so that the steps deg(x_j) join its cells, or a
+    sparse draw with gaps."""
+    def values(low, high, most):
+        if data.draw(hst.booleans()):
+            start = data.draw(hst.integers(low, high))
+            run = range(start, start + data.draw(hst.integers(1, most)))
+        else:
+            run = data.draw(hst.sets(hst.integers(low, high + most), min_size=1,
+                                     max_size=most))
+        return data.draw(hst.permutations(sorted(run)))
+
+    return values(-4, 8, 6), values(0, 5, 4)
+
+
+def saturation_listed(setup, Y, first, second, grid):
+    """The cells whose monomials a table lists when only a cell one step
+    deg(x_j) above a table cell of value |Y| is skipped."""
+    value = {(a, b): v for row, b in zip(grid, second) for v, a in zip(row, first)}
+    steps = list(zip(*setup.beta_free))
+    return {(a, b) for a, b in value
+            if all(value.get((a - x, b - y)) != len(Y) for x, y in steps)}
+
+
+TABLE_GRADINGS = {
+    "h2": make_h2,
+    "h3": lambda q: make_h2(q, ell=3),
+    "p1xp1": lambda q: setup_from_beta([[1, 1, 0, 0], [0, 0, 1, 1]], q),
+    "r5": lambda q: setup_from_beta([[1, 1, 1, 0, 0], [0, 0, 1, 1, 1]], q),
+}
+
+
+@lru_cache(maxsize=None)
+def table_setup(name, q):
+    return TABLE_GRADINGS[name](q)
+
+
+def draw_table_subgroup(st, data):
+    """A subgroup drawn as in test_torus, or the full torus, or the one
+    point of h = 1."""
+    kind = data.draw(hst.sampled_from(["drawn", "torus", "h1"]))
+    if kind == "torus":
+        return all_torus_points(st)
+    if kind == "h1":
+        a = data.draw(hst.lists(hst.integers(-9, 9), min_size=st.r, max_size=st.r))
+        return degenerate_torus(a, 1, st)[0]
+    return draw_subgroup(st, data)
 
 
 class TestSaturatedTable:
-    """hilbert_table gives a cell |Y| without listing its monomials when
-    a cell one step deg(x_j) below it has that value; cell by cell, every
-    value stays what hilbert_function and the oracles give."""
+    """hilbert_table lists the monomials of a cell only when neither a
+    cell one step deg(x_j) below it of value |Y| nor the class sets of
+    those cells give its classes; cell by cell, every value stays what
+    hilbert_function and the oracles give."""
 
-    @given(hst.sampled_from(FIELDS), hst.data())
-    @settings(max_examples=60, deadline=None)
-    def test_subgroups(self, q, data):
-        st = setup_for("h2", q)
-        Y = draw_subgroup(st, data)
+    @given(hst.sampled_from(sorted(TABLE_GRADINGS)), hst.sampled_from(FIELDS),
+           hst.data())
+    @settings(max_examples=100, deadline=None)
+    def test_subgroups(self, name, q, data):
+        st = table_setup(name, q)
+        Y = draw_table_subgroup(st, data)
         first, second = table_degrees(data)
-        grid = hilbert_table(Y, first, second, st)
+        with mock.patch.object(codes, "_code", wraps=codes._code) as listed:
+            grid = hilbert_table(Y, first, second, st)
         L = vanishing_lattice(Y, st)
         for row, b in zip(grid, second):
             for value, a in zip(row, first):
                 alpha = Degree(free=(a, b))
                 assert value == hilbert_function(Y, alpha, st)
                 assert value == hilbert_of_lattice(L, alpha, st)
+        cells = [call.args[1].free for call in listed.call_args_list]
+        assert len(set(cells)) == len(cells)
+        assert set(cells) <= saturation_listed(st, Y, first, second, grid)
 
     @given(hst.data())
     @settings(max_examples=30, deadline=None)

@@ -12,8 +12,9 @@ subgroup and the same graded piece:
 
 None may change the order and the invariant factors of the degenerate
 torus Y_{a,h}, its vanishing lattice L(Y) up to the permutation of the
-coordinates, or N and k of the code C_{alpha,Y}.  Without change 1, Y
-itself stays the same.  The monomials of degree alpha are those of the
+coordinates, N and k of the code C_{alpha,Y}, or a Hilbert table on
+Y of a rank-2 grading under changes 1 and 2, cell by cell.  Without
+change 1, Y itself stays the same.  The monomials of degree alpha are those of the
 mapped degree with their exponents permuted: changes 2 and 3 give the
 enumerator other trailing columns to solve.  The complete intersection
 verdict is left out: it tests a Hermite basis, which depends on the
@@ -25,7 +26,7 @@ from hypothesis import strategies as hst
 
 from conftest import H2_CONES, hirzebruch_rays
 from torilat import intlin
-from torilat.codes import code_parameters
+from torilat.codes import code_parameters, hilbert_table
 from torilat.grading import (Degree, ToricSetup, degree_of, monomial_basis,
                              setup_from_beta, setup_from_rays)
 from torilat.torus import degenerate_torus, group_structure, vanishing_lattice
@@ -112,3 +113,23 @@ def test_subgroup_and_code_keep_their_invariants(case):
     assert (c2.N, c2.k) == (c.N, c.k)
     permuted = sorted(tuple(m[j] for j in perm) for m in monomial_basis(alpha, setup))
     assert monomial_basis(alpha2, other) == permuted
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.data())
+def test_hilbert_table_keeps_its_cells(data):
+    # change 2 reorders the steps deg(x_j) that a table cell reads
+    setup = VARIETIES[data.draw(hst.sampled_from(["h2", "h3"]))](
+        data.draw(hst.sampled_from([5, 7, 11, 13])))
+    q, r = setup.q, setup.r
+    h = data.draw(hst.sampled_from([d for d in range(1, q) if (q - 1) % d == 0]))
+    a = data.draw(hst.lists(hst.integers(1, q - 2), min_size=r, max_size=r))
+    V = unimodular(data.draw, setup.n)
+    perm = data.draw(hst.permutations(range(r)))
+    other = changed(setup, V, perm, intlin.identity(setup.k))
+    first = data.draw(hst.lists(hst.integers(-4, 10), min_size=1, max_size=6))
+    second = data.draw(hst.lists(hst.integers(0, 5), min_size=1, max_size=4))
+    Y, _ = degenerate_torus(a, h, setup)
+    Y2, _ = degenerate_torus([a[j] for j in perm], h, other)
+    assert (hilbert_table(Y2, first, second, other)
+            == hilbert_table(Y, first, second, setup))

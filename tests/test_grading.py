@@ -24,6 +24,7 @@ from torilat.grading import (
     setup_from_beta,
     setup_from_rays,
 )
+from torilat.lattice import complete_intersection
 from torilat.torus import degenerate_torus, group_structure
 
 
@@ -249,6 +250,18 @@ class TestPositiveFunctional:
         st = ToricSetup([[1], [1]], [[1, -1]], [], 5, check_primitive=True)
         assert positive_functional(st) is None
 
+    @pytest.mark.parametrize("u", [[1, 1], [2, 2]], ids=["primitive", "multiple"])
+    def test_unpointed_grading_names_its_monomial(self, monkeypatch, u):
+        # enumeration and the complete intersection check raise one
+        # message, naming x^u with u made primitive
+        monkeypatch.setattr(grading, "_phase_one", lambda beta: (None, u))
+        st = ToricSetup([[1], [1]], [[1, -1]], [], 5, check_primitive=True)
+        message = "^grading is not pointed: x1\\*x2 has degree 0$"
+        with pytest.raises(ValidationError, match=message):
+            monomial_basis(Degree(free=(0,)), st)
+        with pytest.raises(ValidationError, match=message):
+            complete_intersection([[1], [1]], st)
+
     def test_failed_verification_is_an_internal_error(self, monkeypatch):
         # a functional that is not positive on every degree is a fault of
         # the LP, not of the input
@@ -413,7 +426,7 @@ class TestMonomialBasis:
         setup_from_rays([[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]], 11,
                         [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]),
     ], ids=["h2", "blowup"])
-    def test_huge_degree_trips_before_any_table(self, setup, d):
+    def test_huge_degree_trips_at_the_first_node(self, setup, d):
         # the first node of the walk has more children than the cap
         alpha = degree_of([d] * setup.r, setup)
         with pytest.raises(CapExceededError):
@@ -575,7 +588,7 @@ class TestSemigroupMembership:
         ("p1113", (10**30,), False),
         ("p1113", (3 * 10**30,), True),
     ])
-    def test_huge_degrees_need_no_count(self, monkeypatch, name, alpha, want):
+    def test_huge_degrees_enumerate_nothing(self, monkeypatch, name, alpha, want):
         def refuse(*args):
             raise AssertionError("monomials enumerated")
 
