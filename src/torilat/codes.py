@@ -1,8 +1,9 @@
 """Generalized toric codes on subsets of the torus.
 
 Evaluation matrices over F_q, code dimension via the multigraded
-Hilbert function (a count of monomial classes on a subgroup, a rank
-elsewhere), length, Hilbert tables (where a cell takes its value from
+Hilbert function (a count of monomial classes on a subgroup, read from
+the leaves of the walk with no monomial listed, and a rank elsewhere),
+length, Hilbert tables (where a cell takes its value from
 the cells one degree of a variable below it when it can: |Y| above a
 cell of value |Y|, and on a subgroup the union of their class sets,
 with no monomial listed), injectivity of evaluation on a degenerate
@@ -15,14 +16,15 @@ the narrowest unsigned ones that hold the values exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mod, mul
+from operator import add, mod
 
 import numpy as np
 
 from . import grading
 from .errors import CapExceededError, ValidationError
 from .gfield import PrimeField
-from .grading import Degree, ToricSetup, monomial_basis, positive_functional
+from .grading import (Degree, ToricSetup, leaf_classes, monomial_basis,
+                      positive_functional)
 from .torus import PointSet, degenerate_torus
 
 DEFAULT_MESSAGE_CAP = 10**6
@@ -58,48 +60,51 @@ def evaluation_matrix(Y: PointSet, alpha: Degree, setup: ToricSetup):
     mons = monomial_basis(alpha, setup)
     if not mons:
         return np.zeros((0, len(Y)), dtype=np.int64), [], None
-    return _evaluate(mons, Y, setup), mons, mons[0]
+    return _evaluate(mons, Y, setup, mons[0]), mons, mons[0]
 
 
-def _evaluate(mons, Y: PointSet, setup: ToricSetup):
+def _evaluate(mons, Y: PointSet, setup: ToricSetup, a0):
     """eta^{(a - a0) . s} for a in `mons` (rows) and the points s of Y
     (columns).  The points are read before the field's power table is
     built, so a set over the point cap raises without building it."""
-    e = _exponents(mons, Y.reps, setup.q)
+    e = _exponents(mons, Y.reps, setup.q, a0)
     return setup.field._pow[e]
 
 
-def _exponents(mons, reps, q):
-    """(a - a0) . s mod q-1, a0 = mons[0], for a in `mons` (rows) and s in
-    `reps` (columns); well defined on points since a - a0 lies in L_beta."""
-    diffs = np.array(mons, dtype=np.int64)
-    return (diffs - diffs[0]) @ np.asarray(reps, dtype=np.int64).T % (q - 1)
+def _exponents(mons, reps, q, a0):
+    """(a - a0) . s mod q-1 for a in `mons` (rows) and s in `reps`
+    (columns, entries in [0, q-1)); well defined on points since a - a0
+    lies in L_beta.  a - a0 is reduced mod q-1 as Python ints, so each
+    product is below (q-1)^2 in int64, whatever the degree."""
+    qm = q - 1
+    diffs = np.array([[(x - y) % qm for x, y in zip(a, a0)] for a in mons],
+                     dtype=np.int64).reshape(len(mons), len(a0))
+    return diffs @ np.asarray(reps, dtype=np.int64).reshape(-1, len(a0)).T % qm
 
 
 def _code(Y: PointSet, alpha: Degree, setup: ToricSetup):
-    """(k, F0, generator, labels) of the degree-alpha code on Y;
-    generator() returns a k x N generator matrix.  On a subgroup the row
-    of x^a is the character s -> eta^{(a - a0) . s} of Y, fixed by its
-    values on `Y.basis_reps`: its row of `labels`.  Distinct characters
-    are independent (Dedekind), so k counts distinct label rows and one
-    monomial per class spans the code: the first of each, the classes
-    in the order first met.  No point is read until generator() runs.
-    Other sets take a rank, and labels is None."""
+    """(k, F0, generator, labels) of the degree-alpha code on Y, F0 the
+    lexicographically least monomial; generator() returns a k x N
+    generator matrix.  On a subgroup the row of x^a is the character
+    s -> eta^{(a - F0) . s} of Y, fixed by the labels a . s mod q-1 on
+    `Y.basis_reps`: its row of `labels`.  Distinct characters are
+    independent (Dedekind), so k counts distinct labels and one monomial
+    per class spans the code.  The labels are read from the leaves of the
+    walk (`grading.leaf_classes`), and no monomial is listed; no point
+    is read until generator() runs.  Other sets take a rank, and labels
+    is None."""
     if not Y.is_group:
         mat, _, a0 = evaluation_matrix(Y, alpha, setup)
         basis = row_space_basis(mat, setup.q)
         return basis.shape[0], a0, lambda: basis, None
-    mons = monomial_basis(alpha, setup)
-    if not mons:
+    setup._require_degrees("monomial enumeration", alpha)
+    leaves = grading._leaves(alpha.free, setup)
+    if not leaves.size:
         return 0, None, None, None
-    labels = _exponents(mons, Y.basis_reps, setup.q)
-    seen = {}  # label row -> index of its first monomial
-    for i, row in enumerate(map(tuple, labels.tolist())):
-        seen.setdefault(row, i)
-    first = list(seen.values())
-    classes = [mons[i] for i in first]
-    return (len(classes), mons[0], lambda: _evaluate(classes, Y, setup),
-            labels[first])
+    reps = Y.basis_reps
+    labels, classes = leaf_classes(leaves, reps, [setup.q - 1] * len(reps))
+    a0 = leaves.least()
+    return len(labels), a0, lambda: _evaluate(classes(), Y, setup, a0), labels
 
 
 def _echelon(mat: np.ndarray, q: int) -> np.ndarray:
@@ -162,7 +167,8 @@ def hilbert_table(Y: PointSet, first_values, second_values, setup: ToricSetup):
        1), so the classes of alpha are those of each known p_j moved by
        the label of x_j, and that of the power (or 1) when it has degree
        alpha.  No monomial is listed.
-    3. Otherwise the monomials of alpha are listed (`_code`), and the
+    3. Otherwise the classes of alpha are counted from the walk of its
+       monomials (`_code`; on other point sets they are listed), and the
        monomial cap applies to this cell.
 
     Class sets are kept while their total stays within
@@ -184,7 +190,7 @@ def hilbert_table(Y: PointSet, first_values, second_values, setup: ToricSetup):
         qm, reps = setup.q - 1, Y.basis_reps
         qms = (qm,) * len(reps)
         gens = [tuple(s[j] % qm for s in reps) for j in range(setup.r)]  # of x_j
-        (y1, y2), (z1, z2) = _cone_normals(steps)
+        _, (y1, y2), (z1, z2) = setup._bounds[1]
         kept = 0
 
         def classes(p):
@@ -212,40 +218,25 @@ def hilbert_table(Y: PointSet, first_values, second_values, setup: ToricSetup):
                     S.add(tuple(t * e % qm for e in g))
             value[alpha] = len(S)
         else:
-            k, a0, _, labels = _code(Y, Degree(free=alpha), setup)
+            k, _, _, labels = _code(Y, Degree(free=alpha), setup)
             value[alpha] = k
             if not keep:
                 continue
-            S = set()
-            if k:  # _code labels a - a0, a0 its first monomial
-                base = [sum(map(mul, a0, s)) for s in reps]
-                S.update(map(tuple, ((labels + base) % qm).tolist()))
+            S = set(map(tuple, labels.tolist())) if k else set()
         if len(S) < full and kept + len(S) <= grading.MONOMIAL_SEARCH_CAP:
             sets[alpha], kept = S, kept + len(S)
     return [[value[a, b] for a in first_values] for b in second_values]
-
-
-def _cone_normals(steps):
-    """Integer y, y' with y . g >= 0 and y' . g >= 0 on every step g:
-    the degree cone of a pointed rank-2 grading is where both are >= 0.
-    Its two extreme rays are the steps most clockwise and most
-    counterclockwise, which the open half-plane w . g > 0 orders."""
-    u = v = steps[0]
-    for g in steps:
-        if u[0] * g[1] < u[1] * g[0]:
-            u = g
-        if g[0] * v[1] < g[1] * v[0]:
-            v = g
-    return (-u[1], u[0]), (v[1], -v[0])
 
 
 def injectivity_exact(a, h, alpha: Degree, setup: ToricSetup) -> bool:
     """Whether evaluation at the degenerate torus Y_{A,H} is injective on
     S_alpha: exactly when k = dim S_alpha, that is when no two distinct
     degree-alpha monomials fall in one class of the subgroup.  The class
-    count reads no point."""
+    count reads no point, and dim S_alpha is the total length of the
+    leaves it reads."""
     Y, _ = degenerate_torus(a, h, setup)
-    return hilbert_function(Y, alpha, setup) == len(monomial_basis(alpha, setup))
+    k = hilbert_function(Y, alpha, setup)
+    return k == grading._leaves(alpha.free, setup).size
 
 
 def minimum_distance(basis: np.ndarray, q: int) -> int:

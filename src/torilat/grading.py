@@ -2,7 +2,9 @@
 
 Builds the exact sequence 0 -> Z^n -> Z^r -> A -> 0 from fan rays (or
 from an explicit degree matrix), computes degrees in A, checks lattice
-homogeneity, and enumerates monomial bases of graded pieces.
+homogeneity, and walks graded pieces: as leaves, arithmetic progressions
+of monomials that class counts read without listing them, and as
+monomial bases listed from those leaves.
 """
 
 from __future__ import annotations
@@ -10,9 +12,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
-from math import gcd
+from itertools import chain, repeat
+from math import gcd, lcm
 from operator import mul
+
+import numpy as np
 
 from . import intlin
 from .errors import CapExceededError, InternalError, ValidationError
@@ -56,9 +60,11 @@ class ToricSetup:
         )
         # U of the Hermite form U phi = H (`_validate`)
         self._U = self._validate(check_primitive)
-        # (degree, tuple of monomials) of the last enumeration: a Hilbert
-        # value by rank and by coset count at one degree enumerate it once
-        self._monomial_cache = (None, None)
+        # the plan of each walk order met (`_plan`), and ((degree, lex),
+        # leaves) of the last walk (`_leaves`): a Hilbert value by class
+        # count and by coset count at one degree walk it once
+        self._plans = {}
+        self._last_walk = (None, None)
 
     def _validate(self, check_primitive):
         """Raise ValidationError unless the setup is consistent, and return
@@ -163,23 +169,44 @@ class ToricSetup:
         return w, None
 
     @cached_property
-    def _plan(self):
-        """(w, cols, ws, size, D, adj, lead, Q, checks) of a pointed
-        grading: what `_enumerate_solutions` needs beyond the degree.
-        w is the positive functional, cols the columns of beta_free and
-        ws their weights w . deg(x_j); (size, D, adj) is the solved block
-        (`_solved_block`), lead the index of the exponent t just before
-        it, Q the block's slopes in t, and checks pairs each check row
-        with its slope in t."""
+    def _bounds(self):
+        """(cols, fs, fcols) of a pointed grading: cols the columns of
+        beta_free; fs the functionals that bound the walk, the positive
+        functional w and, for k = 2, the two normals of the degree cone
+        (`cone_normals`); fcols[j] the values of fs on cols[j].  Each f is
+        >= 0 on every column, so a monomial of degree rem has f . rem >= 0
+        and a_j <= f . rem // f . beta_j when f . beta_j > 0."""
         w = _require_pointed(self)
         cols = [[row[j] for row in self.beta_free] for j in range(self.r)]
-        ws = [sum(map(mul, w, col)) for col in cols]
-        size, D, adj, checks = _solved_block(cols, self.k)
-        lead = self.r - size - 1
-        ct = cols[lead]
-        Q = [sum(map(mul, row, ct)) for row in adj]
-        checks = [(row, sum(map(mul, row, ct))) for row in checks]
-        return w, cols, ws, size, D, adj, lead, Q, checks
+        fs = [w, *cone_normals(cols)] if self.k == 2 else [w]
+        return cols, fs, [[sum(map(mul, f, col)) for f in fs] for col in cols]
+
+    def _plan(self, order):
+        """(cols, fcols, lead, D, adj, Q, checks, step) of a walk in
+        `order`, a tuple of the exponent indices: what `_walk` needs beyond
+        the degree, built once per order.  cols and fcols are those of
+        `_bounds` in that order; (D, adj) is the solved block of the
+        exponents after position lead (`_solved_block`), the one at lead is
+        t, Q the block's slopes in t, and checks pairs each check row with
+        its slope in t.  The t of a leaf step by e (`_progression`), so each
+        leaf steps by the same vector `step`, indexed by exponent."""
+        plan = self._plans.get(order)
+        if plan is None:
+            cols, _, fcols = self._bounds
+            cols, fcols = [cols[j] for j in order], [fcols[j] for j in order]
+            size, D, adj, checks = _solved_block(cols, self.k)
+            lead = self.r - size - 1
+            ct = cols[lead]
+            Q = [sum(map(mul, row, ct)) for row in adj]
+            checks = [(row, sum(map(mul, row, ct))) for row in checks]
+            e = _progression([0] * size, Q, D)[1]
+            step = [0] * self.r
+            step[order[lead]] = e
+            for j, q in zip(order[lead + 1:], Q):
+                step[j] = -e * q // D
+            plan = (cols, fcols, lead, D, adj, Q, checks, step)
+            self._plans[order] = plan
+        return plan
 
     def __repr__(self):
         return (
@@ -394,39 +421,113 @@ def _progression(P, Q, D):
     return t0, e
 
 
-def _enumerate_solutions(alpha_free, setup):
-    """All a in N^r with beta_free . a = alpha_free, in ascending
-    lexicographic order.  Requires a pointed grading.
+def cone_normals(steps):
+    """Integer y, y' with y . g >= 0 and y' . g >= 0 on every step g of a
+    pointed rank-2 grading: the degree cone is where both are >= 0.  Its
+    two extreme rays are the steps most clockwise and most
+    counterclockwise, which the open half-plane w . g > 0 orders."""
+    u = v = steps[0]
+    for g in steps:
+        if u[0] * g[1] < u[1] * g[0]:
+            u = g
+        if g[0] * v[1] < g[1] * v[0]:
+            v = g
+    return (-u[1], u[0]), (v[1], -v[0])
 
-    The trailing exponents are solved by Cramer's rule (`_solved_block`):
-    the last two when their columns are independent, else the last.  The
-    search walks the exponents before the one just ahead of that block,
-    t.  The block's solution is affine in t, so the t that reach the
-    degree form an arithmetic progression in an interval: integrality is
-    a congruence modulo D, nonnegativity gives the interval, and any
-    other row of beta fixes t or rules it out.  Each such t gives one
-    monomial.  What depends on the setup alone is read from `_plan`.
+
+class _Leaves:
+    """The leaves of one walk: leaf l holds the monomials a_l + i * step,
+    0 <= i < n_l.  `records` holds a_l in the walk's order and then n_l,
+    leaf after leaf in the order walked; `size` is the sum of the n_l and
+    `work` the walk nodes plus `size`."""
+
+    __slots__ = ("order", "step", "records", "size", "work")
+
+    def __init__(self, order, step, records, size, work):
+        self.order, self.step, self.records = order, step, records
+        self.size, self.work = size, work
+
+    def starts(self):
+        """(a_l indexed by exponent, n_l) for each leaf l."""
+        r, recs, order = len(self.order), self.records, self.order
+        lex = order == tuple(range(r))
+        for i in range(0, len(recs), r + 1):
+            a = recs[i:i + r]
+            if not lex:
+                a = [0] * r
+                for j, x in zip(order, recs[i:i + r]):
+                    a[j] = x
+            yield a, recs[i + r]
+
+    def least(self):
+        """The lexicographically least monomial, or None: an end of some
+        leaf, the first when the step's first nonzero entry is positive."""
+        forward = next(x for x in self.step if x) > 0
+        return min((tuple(a) if forward else
+                    tuple(x + (n - 1) * s for x, s in zip(a, self.step))
+                    for a, n in self.starts()), default=None)
+
+
+def _counting_order(alpha_free, setup):
+    """The walk order that counts degree alpha_free cheaply: the
+    exponents by their bound at the root (`ToricSetup._bounds`), least
+    first.  The widest goes last, and the widest before it whose column is
+    independent of its own just ahead of it, so that both are solved; t is
+    the widest of the rest."""
+    cols, fs, fcols = setup._bounds
+    buds = [sum(map(mul, f, alpha_free)) for f in fs]
+    if min(buds) < 0:  # no monomial
+        return tuple(range(setup.r))
+    bound = [min(b // c for b, c in zip(buds, fc) if c > 0) for fc in fcols]
+    ranked = sorted(range(setup.r), key=bound.__getitem__)
+    last = cols[ranked[-1]]
+    pair = next((j for j in reversed(ranked[:-1])
+                 if any(x * last[i + 1 + h] != y * last[i]
+                        for i, x in enumerate(cols[j])
+                        for h, y in enumerate(cols[j][i + 1:]))), None)
+    if pair is not None:
+        ranked.remove(pair)
+        ranked.insert(-1, pair)
+    return tuple(ranked)
+
+
+def _walk(alpha_free, setup, order):
+    """The leaves (`_Leaves`) of the degree-alpha_free piece, walked in
+    `order`.  Requires a pointed grading.
+
+    The trailing exponents of the order are solved by Cramer's rule
+    (`_solved_block`): the last two when their columns are independent,
+    else the last.  The walk runs over the exponents before the one just
+    ahead of that block, t, each up to its least bound by the functionals
+    of `ToricSetup._bounds`.  The block's solution is affine in t, so the
+    t that reach the degree form an arithmetic progression in an
+    interval: integrality is a congruence modulo D, nonnegativity gives
+    the interval, and any other row of beta fixes t or rules it out.  Each
+    such t gives one monomial, and each leaf keeps its first monomial and
+    its length, nothing per monomial.  What depends on the order alone is
+    read from `ToricSetup._plan`.
 
     The work is the nodes the walk visits plus the monomials it finds:
     each walk node adds its children, each leaf the length of its
     progression.  CapExceededError is raised as soon as it passes
-    MONOMIAL_SEARCH_CAP; leaves are kept as records until the walk ends,
-    so a refused degree lists no monomial, though it holds their records."""
-    w, cols, ws, size, D, adj, lead, Q, checks = setup._plan
+    MONOMIAL_SEARCH_CAP."""
+    cols, fcols, lead, D, adj, Q, checks, step = setup._plan(order)
     target = list(alpha_free)
-    budget = sum(map(mul, w, target))
-    if budget < 0:
-        return []
+    buds = [sum(map(mul, f, target)) for f in setup._bounds[1]]
+    if min(buds) < 0:
+        return _Leaves(order, step, [], 0, 1)
     cap = MONOMIAL_SEARCH_CAP
     passed = f"monomial search passed {cap} nodes and monomials"
     a = [0] * lead  # the exponents before t
-    leaves = []  # (a, first t, last t + 1, step of t, P) of each leaf
+    records = []
     work = 1  # the root
+    size = 0
 
-    def solve(rem, bud):
+    def solve(rem, buds):
         """Keep the progression of t of a leaf."""
-        nonlocal work
-        lo, hi = 0, bud // ws[lead]
+        nonlocal work, size
+        lo = 0
+        hi = min([b // c for b, c in zip(buds, fcols[lead]) if c > 0])
         P = [sum(map(mul, row, rem)) for row in adj]
         for p, q in zip(P, Q):  # exponent l of the block is (p - t q) / D
             if q > 0:
@@ -453,49 +554,147 @@ def _enumerate_solutions(alpha_free, setup):
         first = lo + (t0 - lo) % e
         if first > hi:
             return
-        work += (hi - first) // e + 1
+        n = (hi - first) // e + 1
+        work += n
         if work > cap:
             raise CapExceededError(passed)
-        leaves.append((tuple(a), first, hi + 1, e, P))
+        size += n
+        records.extend(a)
+        records.append(first)
+        records.extend([(p - first * q) // D for p, q in zip(P, Q)])
+        records.append(n)
 
-    def walk(pos, rem, bud):
+    def walk(pos, rem, buds):
         nonlocal work
         if pos == lead:
-            solve(rem, bud)
+            solve(rem, buds)
             return
-        wj, col = ws[pos], cols[pos]
-        top = bud // wj + 1
+        col, fc = cols[pos], fcols[pos]
+        top = min([b // c for b, c in zip(buds, fc) if c > 0]) + 1
         work += top
         if work > cap:
             raise CapExceededError(passed)
-        rem = list(rem)
+        rem, buds = list(rem), list(buds)
         for v in range(top):
             a[pos] = v
-            walk(pos + 1, rem, bud - v * wj)
+            walk(pos + 1, rem, buds)
             for i, b in enumerate(col):
                 rem[i] -= b
+            for i, c in enumerate(fc):
+                buds[i] -= c
 
-    walk(0, target, budget)
+    walk(0, target, buds)
+    return _Leaves(order, step, records, size, work)
+
+
+def _leaves(alpha_free, setup, lex=False):
+    """The leaves of the degree-alpha_free piece: walked in the
+    exponents' own order when lex, so that they list the monomials in
+    lexicographic order, else in `_counting_order`.  The last walk is
+    kept; taken again, it is refused again if its work passes the cap."""
+    key = (tuple(alpha_free), lex)
+    last, leaves = setup._last_walk
+    if last != key:
+        leaves = _walk(alpha_free, setup, tuple(range(setup.r)) if lex
+                       else _counting_order(alpha_free, setup))
+        setup._last_walk = (key, leaves)
+    elif leaves.work > MONOMIAL_SEARCH_CAP:
+        raise CapExceededError(
+            f"monomial search passed {MONOMIAL_SEARCH_CAP} nodes and monomials")
+    return leaves
+
+
+def _enumerate_solutions(alpha_free, setup):
+    """All a in N^r with beta_free . a = alpha_free, in ascending
+    lexicographic order, read from the leaves of a walk in the exponents'
+    own order (`_walk`).  Requires a pointed grading."""
+    leaves = _leaves(alpha_free, setup, lex=True)
     out = []
-    for head, first, stop, e, P in leaves:
-        ts = range(first, stop, e)
-        xs = [count((p - first * q) // D, -e * q // D) for p, q in zip(P, Q)]
-        if size == 1:
-            out.extend([(*head, t, x) for t, x in zip(ts, *xs)])
-        else:
-            out.extend([(*head, t, x, y) for t, x, y in zip(ts, *xs)])
+    for a, n in leaves.starts():
+        out.extend(zip(*[range(x, x + n * s, s) if s else repeat(x, n)
+                         for x, s in zip(a, leaves.step)]))
     return out
+
+
+# a count of more leaf entries than this forms them with numpy, whose
+# set-up costs more than forming a few dozen in Python
+_NUMPY_ENTRIES = 64
+
+
+def leaf_classes(leaves, rows, moduli):
+    """(labels, firsts) for the label a -> (row . a mod m) over `rows` and
+    `moduli` (m = 0: not reduced) of the monomials of `leaves`: the
+    distinct labels as an array, and a function that gives a monomial of
+    each, in the same order.
+
+    Along a leaf a_l + i * step the label moves by the label delta of the
+    step, so it repeats with the order of delta, the lcm of the orders of
+    its entries (none when an unreduced entry is nonzero).  So a leaf is
+    read up to the least of its length and that order, which meets every
+    label it holds.  Labels are exact: formed in int64 when the moduli
+    and the sizes allow it and the entries are many, as Python ints
+    otherwise."""
+    def label(a):  # as Python ints, so a huge exponent stays exact
+        return [x % m if m else x
+                for x, m in zip([sum(map(mul, row, a)) for row in rows], moduli)]
+
+    r, recs, step = len(leaves.order), leaves.records, leaves.step
+    delta = label(step)
+    period = 1
+    for d, m in zip(delta, moduli):
+        if m:
+            period = lcm(period, m // gcd(m, d))
+        elif d:
+            period = None
+            break
+    counts = recs[r::r + 1]
+    if period is not None:
+        counts = [min(n, period) for n in counts]
+    many = sum(counts) > _NUMPY_ENTRIES and all(moduli)
+    M = lcm(*moduli) if many else 0
+    top = max(map(abs, chain.from_iterable(rows)), default=0) if many else 0
+    # the starts' labels in int64: exponents reduced mod M times rows, an
+    # entry of a leaf below m + (period - 1) m before it is reduced, and
+    # one int64 key per label
+    if many and max(recs) < 2**63 and M * max(r * top, period,
+                                              M ** (len(rows) - 1)) < 2**63:
+        R = np.array(recs, dtype=np.int64).reshape(-1, r + 1)
+        W = np.array([[row[j] for j in leaves.order] for row in rows],
+                     dtype=np.int64).reshape(-1, r)
+        n = np.array(counts, dtype=np.int64)
+        leaf = np.repeat(np.arange(n.size), n)
+        i = np.arange(leaf.size) - np.repeat(np.cumsum(n) - n, n)
+        labels = ((R[:, :r] % M) @ W.T)[leaf] + i[:, None] * np.array(delta)
+        labels %= np.array(moduli)
+        first = np.unique(labels @ (M ** np.arange(len(rows))),
+                          return_index=True)[1]
+        where = list(zip(leaf[first].tolist(), i[first].tolist()))
+        labels = labels[first]
+    else:
+        seen = {}  # label -> (leaf, entry) where it is first met
+        for l, ((a, _), n) in enumerate(zip(leaves.starts(), counts)):
+            x = label(a)
+            for i in range(n):
+                seen.setdefault(tuple(x), (l, i))
+                x = [v + d if not m else (v + d) % m
+                     for v, d, m in zip(x, delta, moduli)]
+        where = list(seen.values())
+        exact = all(moduli) and max(moduli, default=1) < 2**63
+        labels = np.array(list(seen), dtype=np.int64 if exact else object)
+        labels = labels.reshape(len(seen), len(rows))
+
+    def firsts():
+        a = [a for a, _ in leaves.starts()]
+        return [tuple(x + i * s for x, s in zip(a[l], step)) for l, i in where]
+
+    return labels, firsts
 
 
 def monomial_basis(alpha: Degree, setup: ToricSetup):
     """All exponent vectors a in N^r of degree alpha, lexicographically
     ascending.  Torsion-graded enumeration is not supported."""
     setup._require_degrees("monomial enumeration", alpha)
-    key, cached = setup._monomial_cache
-    if key != alpha.free:
-        cached = tuple(_enumerate_solutions(alpha.free, setup))
-        setup._monomial_cache = (alpha.free, cached)
-    return list(cached)
+    return _enumerate_solutions(alpha.free, setup)
 
 
 def in_semigroup_Khat(alpha: Degree, setup: ToricSetup) -> bool:

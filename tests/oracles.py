@@ -11,9 +11,10 @@ Hermite and Smith forms already at hand.  The exactness test
 ker(beta) = im(phi) by comparing two lattices, which the set-up check in
 `torilat.grading.ToricSetup` replaced with the Hermite form of phi^T and
 the Smith form of beta.  `HermiteReducer`, the coset canonicalizer against a column
-Hermite basis: `torilat.lattice.hilbert_of_lattice` runs its loop
-inline, and subgroup membership in `torilat.torus` reads the dual basis
-(q-1) B^{-1} instead.  Matrices over F_q: rank by plain-list Gaussian
+Hermite basis, and the coset count that reduces every monomial with it,
+which `torilat.lattice.hilbert_of_lattice` replaced with labels read from
+the leaves of the walk in Smith coordinates; subgroup membership in
+`torilat.torus` reads the dual basis (q-1) B^{-1} instead.  Matrices over F_q: rank by plain-list Gaussian
 elimination.
 
 Torus subgroups: the point-by-point constructions that the lattice path
@@ -36,14 +37,16 @@ which one they find.
 Monomial enumeration: the search that tries every value of every
 exponent, which `torilat.grading._enumerate_solutions` replaced by
 solving for the trailing ones and listing the one before them as an
-arithmetic progression.  Run on the columns off a maximal cone, it is
+arithmetic progression.  Given the functionals of the degree cone, it
+bounds each exponent by them as the library's walk does.  Run on the columns off a maximal cone, it is
 also the definition of membership in K-hat that
 `torilat.grading.in_semigroup_Khat` replaced by one k x k solve per
 cone, and, with find_one, the semigroup comparison of degrees below.
 
-Classes of monomials on a subgroup: the listing by `np.unique` of the
-distinct character labels that `torilat.codes._code` replaced with a
-first-seen dict.
+Classes of monomials on a subgroup: the code that lists every monomial,
+labels each and keeps the first of each distinct label, which
+`torilat.codes._code` replaced with labels read from the leaves of the
+walk, up to the period of each leaf.
 
 Points and binomials: the identity point of the torus, the value of a
 binomial at a point and the discrete log of a field element, which only
@@ -60,6 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -80,7 +84,7 @@ from torilat.intlin import (
     mat_vec,
     shape,
 )
-from torilat.lattice import degenerate_lattice, hilbert_of_lattice
+from torilat.lattice import degenerate_lattice
 from torilat.torus import (
     PointSet,
     TorusPoint,
@@ -499,30 +503,31 @@ def positive_functional_by_fractions(beta_free):
 # monomial enumeration -------------------------------------------------
 
 
-def monomials_by_full_search(alpha_free, setup, allowed, find_one=False):
+def monomials_by_full_search(alpha_free, setup, allowed, find_one=False,
+                             functionals=None):
     """(monomials, nodes): all a in N^r supported on `allowed` with
     beta_free . a = alpha_free in ascending lexicographic order, by a
-    search over every value of every allowed exponent, and the number of
-    search nodes it visits.  No cap.  Over the exponents the library walks
-    (`range(lead)` of `ToricSetup._plan`), `nodes` is the walk's share of
-    the work that the library's cap counts."""
+    search over every value of every allowed exponent in the order given,
+    and the number of search nodes it visits.  No cap.  Each exponent runs
+    up to its least bound f . rem // f . beta_j over the `functionals`
+    (default: the positive functional) with f . beta_j > 0.  Over the
+    exponents the library walks in an order (before position lead of
+    `ToricSetup._plan`) and with its functionals, `nodes` is the walk's
+    share of the work that the library's cap counts."""
     w = positive_functional(setup)
     if w is None:
         raise ValidationError(
             "grading is not pointed: a nonconstant monomial has degree 0"
         )
-    weights = [
-        sum(w[i] * setup.beta_free[i][j] for i in range(setup.k))
-        for j in range(setup.r)
-    ]
+    fs = functionals or [w]
+    weights = [[sum(f[i] * setup.beta_free[i][j] for i in range(setup.k))
+                for f in fs] for j in range(setup.r)]
     target = list(alpha_free)
-    budget = sum(wi * ai for wi, ai in zip(w, target))
     out = []
     a = [0] * setup.r
-    allowed = sorted(allowed)
     nodes = 1
 
-    def rec(pos, rem, bud):
+    def rec(pos, rem):
         nonlocal nodes
         if find_one and out:
             return
@@ -531,21 +536,21 @@ def monomials_by_full_search(alpha_free, setup, allowed, find_one=False):
                 out.append(tuple(a))
             return
         j = allowed[pos]
-        top = bud // weights[j]
+        top = min(sum(map(mul, f, rem)) // c for f, c in zip(fs, weights[j]) if c > 0)
         nodes += top + 1  # the children, counted once by their parent
         for v in range(top + 1):
             a[j] = v
             new_rem = [
                 rem[i] - v * setup.beta_free[i][j] for i in range(setup.k)
             ]
-            rec(pos + 1, new_rem, bud - v * weights[j])
+            rec(pos + 1, new_rem)
             if find_one and out:
                 break
         a[j] = 0
 
-    if budget >= 0:
-        rec(0, target, budget)
-    return out, nodes
+    if min(sum(map(mul, f, target)) for f in fs) >= 0:
+        rec(0, target)
+    return sorted(out), nodes
 
 
 def in_khat_by_search(alpha_free, setup):
@@ -563,10 +568,27 @@ def in_khat_by_search(alpha_free, setup):
 # classes of monomials on a subgroup -----------------------------------
 
 
-def first_of_each_class(labels):
-    """The index of the first row of each distinct row of `labels`, in the
-    order the distinct rows are first met."""
-    return np.sort(np.unique(labels, axis=0, return_index=True)[1])
+def code_by_listing(Y, alpha, setup):
+    """(k, F0, classes, labels) of the degree-alpha code on the subgroup Y:
+    every monomial is listed and labelled a . s mod q-1 on `Y.basis_reps`,
+    and each distinct label is kept with its first monomial, in the order
+    first met.  F0 is the first monomial; k = 0 gives (0, None, [], None)."""
+    mons = monomial_basis(alpha, setup)
+    if not mons:
+        return 0, None, [], None
+    qm = setup.q - 1
+    labels = [tuple(sum(map(mul, a, s)) % qm for s in Y.basis_reps) for a in mons]
+    seen = {}  # label -> index of its first monomial
+    for i, label in enumerate(labels):
+        seen.setdefault(label, i)
+    return len(seen), mons[0], [mons[i] for i in seen.values()], list(seen)
+
+
+def hilbert_by_cosets(L, alpha, setup):
+    """The number of classes of the degree-alpha monomials modulo L: each
+    monomial reduced against the column Hermite basis of L."""
+    reducer = HermiteReducer.from_basis(L)
+    return len({reducer.reduce(list(a)) for a in monomial_basis(alpha, setup)})
 
 
 # injectivity on degenerate tori ---------------------------------------
@@ -577,7 +599,7 @@ def injectivity_by_lattice(a, h, alpha, setup):
     two distinct degree-alpha monomials agree modulo its vanishing
     lattice D(L_{beta D}): a coset count of the degenerate lattice."""
     L = degenerate_lattice(a, h, setup).L
-    return hilbert_of_lattice(L, alpha, setup) == len(monomial_basis(alpha, setup))
+    return hilbert_by_cosets(L, alpha, setup) == len(monomial_basis(alpha, setup))
 
 
 def degree_leq(alpha, alpha2, setup):

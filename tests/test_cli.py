@@ -685,10 +685,10 @@ class TestMonomialSearchCap:
         assert "monomial search" in err
 
     def test_saturated_cell_past_the_cap(self, capsys, tmp_path, monkeypatch):
-        # at a cap of 2,400, (33, 33) (work 2,412) is past it, but follows
-        # from (32, 33) (work 2,377), whose value is already |Y| = 50: the
+        # at a cap of 2,300, (33, 33) (work 2,313) is past it, but follows
+        # from (32, 33) (work 2,279), whose value is already |Y| = 50: the
         # table gives it exactly
-        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 2400)
+        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 2300)
         doc = load_json("h2_q11.json")
         doc["task"].update(alpha1_values=[32, 33], alpha2_values=[33])
         f = tmp_path / "saturated.json"
@@ -703,7 +703,7 @@ class TestMonomialSearchCap:
         assert "monomial search" in err
 
     def test_both_sides_of_the_cap(self, capsys):
-        # (33, 33) walks 134 nodes for 2,278 monomials; (2000, 2000) has
+        # (33, 33) walks 35 nodes for 2,278 monomials; (2000, 2000) has
         # 8,006,001 monomials, past the cap of 5 * 10^6
         path = problem_path("h2_q11.json")
         code, out, _ = run(capsys, "code", path, "--alpha", "33,33")
@@ -712,6 +712,24 @@ class TestMonomialSearchCap:
         code, out, err = run(capsys, "code", path, "--alpha", "2000,2000")
         assert (code, out) == (3, "")
         assert err.startswith("error: monomial search passed 5000000 ")
+
+
+@pytest.mark.parametrize("W, q, g", [(10**12, 999983, 499991), (10**21, 11, 5)],
+                         ids=["w1e12", "w1e21"])
+def test_huge_exponents_are_reduced_exactly(capsys, tmp_path, W, q, g):
+    # P(W, W + 1, 1) at degree 30 W + 5 on the subgroup of order 2 that
+    # [0, 0, g] generates: the exponents of x3 reach 30 W + 5, and their
+    # labels and the evaluation of the two classes stay exact (once k = 4
+    # at W = 10^12, and OverflowError at W = 10^21)
+    f = tmp_path / "huge_weights.json"
+    f.write_text(json.dumps({"variety": {"beta": [[W, W + 1, 1]]},
+                             "field": {"q": q},
+                             "task": {"generators": [[0, 0, g]]}}))
+    code, out, _ = run(capsys, "code", str(f), "--alpha", str(30 * W + 5),
+                       "--min-distance")
+    doc = json.loads(out)
+    assert (code, doc["N"], doc["k"], doc["d"]) == (0, 2, 2, 1)
+    assert doc["F0"] == [0, 0, 30 * W + 5]
 
 
 @pytest.mark.parametrize("command", ["code", "degenerate-lattice"])

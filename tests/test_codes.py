@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 from functools import lru_cache
 from unittest import mock
 
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import oracles
-from conftest import load_json, make_h2
+from conftest import load_json, make_h2, random_homogeneous_lattice
 from oracles import degree_leq, injectivity_certified, injectivity_check
 from test_torus import FIELDS, draw_subgroup, setup_for, setups
 from torilat import cli, codes, grading
@@ -173,7 +174,8 @@ class TestHilbert:
 
     def test_table_builds_the_enumeration_plan_once(self, monkeypatch):
         # the solved block, the weights and the slopes depend on the setup
-        # alone: the 6 x 18 table builds them once, not once per cell
+        # and the walk order alone: the 6 x 18 table builds them once per
+        # order, not once per cell
         built = []
         solved_block = grading._solved_block
 
@@ -188,12 +190,13 @@ class TestHilbert:
         grid = hilbert_table(Y, fixture["alpha1_values"],
                              fixture["alpha2_values"], st)
         assert grid == fixture["grid"]
-        assert len(built) == 1
-        # the plan serves every later degree of the setup
+        assert len(built) == len(st._plans) <= 2
+        # the plans serve every later degree of the setup
         for alpha in [(-1, 0), (0, 0), (3, 2), (-2, 4), (12, 5), (0, 9)]:
             want, _ = oracles.monomials_by_full_search(alpha, st, range(st.r))
             assert monomial_basis(Degree(free=alpha), st) == want
-        assert len(built) == 1
+            hilbert_function(Y, Degree(free=alpha), st)
+        assert len(built) == len(st._plans)
 
     def test_saturated_cells_list_no_monomials(self, h2, y10):
         # a cell is listed only when two of its cells alpha - deg(x_j)
@@ -226,9 +229,9 @@ class TestHilbert:
                                          fixture["alpha2_values"], grid)
 
     def test_saturated_cell_past_the_monomial_cap(self, monkeypatch):
-        # (33, 33) (work 2,412) is past the cap, but (32, 33) (work 2,377)
+        # (33, 33) (work 2,313) is past the cap, but (32, 33) (work 2,279)
         # has value |Y| and (33, 33) = (32, 33) + deg(x_1)
-        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 2400)
+        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 2300)
         st = make_h2()
         Y = zero_set_in_torus([[10, 0], [0, 5], [-10, 10], [0, -5]], st)
         assert hilbert_table(Y, [32, 33], [33], st) == [[50, 50]]
@@ -373,25 +376,83 @@ class TestOracleEquivalence:
             cs = code_parameters(Y, alpha, st, compute_d=True, cap=10**4)
             assert cs.d == minimum_distance(row_space_basis(mat, q), q)
 
-    @given(setups, hst.data())
-    @settings(max_examples=80, deadline=None)
-    def test_classes_in_the_order_first_met(self, st, data):
-        # the first-seen listing gives the classes of the listing by
-        # np.unique, in the same order and with the same labels
+# gradings of the class-count property tests: H_2 and H_3 (rank 2),
+# P(1,1,1,3) (its last exponent is solved with D = 3 in the lexicographic
+# walk), P(1,2,3,4,5), P^2 blown up at two points (rank 3) and the
+# rank-5 grading of `pointed_k5.json`
+@lru_cache(maxsize=None)
+def class_setup(name, q):
+    if name == "h3":
+        return make_h2(q, ell=3)
+    if name == "pointed_k5":
+        return setup_from_beta(load_json("pointed_k5.json")["variety"]["beta"], q)
+    return {
+        "h2": lambda: make_h2(q),
+        "p1113": lambda: setup_from_beta([[1, 1, 1, 3]], q),
+        "p12345": lambda: setup_from_beta([[1, 2, 3, 4, 5]], q),
+        "blowup": lambda: setup_from_rays(
+            [[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]], q),
+    }[name]()
+
+
+def class_degree(st, data):
+    """The degree of a drawn monomial, moved by a drawn offset; on H_2
+    and H_3 a degree drawn with alpha_1 in [-8, 12] instead."""
+    if st.k == 2:
+        return Degree(free=(data.draw(hst.integers(-8, 12)),
+                            data.draw(hst.integers(0, 6))))
+    top = 1 if st.k == 5 else 4
+    a = data.draw(hst.lists(hst.integers(0, top), min_size=st.r, max_size=st.r))
+    shift = data.draw(hst.lists(hst.integers(-1, 1), min_size=st.k, max_size=st.k))
+    return Degree(free=tuple(x + y for x, y in zip(degree_of(a, st).free, shift)))
+
+
+class TestClassesFromLeaves:
+    """k, F0 and the class labels read from the leaves of the walk are
+    those of the listing of every monomial, and the coset count read from
+    them is that of the reduction of every monomial."""
+
+    @given(hst.sampled_from(["h2", "h3", "p1113", "p12345", "blowup", "pointed_k5"]),
+           hst.sampled_from([7, 11, 13]), hst.data())
+    @settings(max_examples=150, deadline=None)
+    def test_against_the_listing(self, name, q, data):
+        st = class_setup(name, q)
         Y = draw_subgroup(st, data)
-        alpha = draw_degree(st, data)
-        k, _, generator, got = codes._code(Y, alpha, st)
-        mons = monomial_basis(alpha, st)
-        if not mons:
-            assert k == 0
-            return
-        labels = codes._exponents(mons, Y.basis_reps, st.q)
-        first = oracles.first_of_each_class(labels)
-        assert k == len(first)
-        assert np.array_equal(got, labels[first])
-        assert np.array_equal(
-            generator(), codes._evaluate([mons[i] for i in first], Y, st)
-        )
+        alpha = class_degree(st, data)
+        k, F0, generator, labels = codes._code(Y, alpha, st)
+        want_k, want_F0, classes, want_labels = oracles.code_by_listing(Y, alpha, st)
+        assert (k, F0) == (want_k, want_F0)
+        if k:
+            assert set(map(tuple, labels.tolist())) == set(want_labels)
+            if len(Y) <= 2000:
+                # one row per class: the same characters of Y
+                rows = codes._evaluate(classes, Y, st, F0)
+                assert sorted(map(tuple, generator().tolist())) == sorted(
+                    map(tuple, rows.tolist()))
+        L = vanishing_lattice(Y, st)
+        assert hilbert_of_lattice(L, alpha, st) == k
+        assert k == oracles.hilbert_by_cosets(L, alpha, st)
+        # a lattice of lower rank leaves some rows unreduced
+        rng = random.Random(data.draw(hst.integers(0, 2**32)))
+        L = random_homogeneous_lattice(st, rng, extra=rng.randint(0, st.n - 1),
+                                       contain_full=False)
+        if L[0]:
+            assert (hilbert_of_lattice(L, alpha, st)
+                    == oracles.hilbert_by_cosets(L, alpha, st))
+
+    def test_near_the_cap_in_little_memory(self):
+        # H_2 at (1575, 1575): work 4,967,553 for 4,965,976 monomials,
+        # k = 50 read from 1,576 leaves of at most 10 entries each
+        st = make_h2()
+        Y = zero_set_in_torus([[10, 0], [0, 5], [-10, 10], [0, -5]], st)
+        tracemalloc.start()
+        try:
+            k = hilbert_function(Y, Degree(free=(1575, 1575)), st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k == len(Y) == 50
+        assert peak < 50 * 2**20
 
 
 def draw_degree(st, data):

@@ -404,12 +404,18 @@ class TestMonomialBasis:
         assert got == brute_force_monomials(p113, alpha, 6)
 
     def test_search_cap(self, monkeypatch):
-        # (20, 10) walks 52 nodes for its 341 monomials
-        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 392)
-        with pytest.raises(CapExceededError, match="^monomial search passed 392 "):
-            monomial_basis(Degree(free=(20, 10)), make_h2())
-        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 393)
-        assert len(monomial_basis(Degree(free=(20, 10)), make_h2())) == 341
+        # (20, 10) walks 42 nodes for its 341 monomials: x1 runs up to 40,
+        # the bound of the cone normal (1, 2); w = (1, 3) alone gives 50
+        st = make_h2()
+        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 382)
+        with pytest.raises(CapExceededError, match="^monomial search passed 382 "):
+            monomial_basis(Degree(free=(20, 10)), st)
+        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 383)
+        assert len(monomial_basis(Degree(free=(20, 10)), st)) == 341
+        # the walk is kept, and refused again at a lower cap
+        monkeypatch.setattr(grading, "MONOMIAL_SEARCH_CAP", 382)
+        with pytest.raises(CapExceededError, match="^monomial search passed 382 "):
+            monomial_basis(Degree(free=(20, 10)), st)
 
     def test_what_the_full_search_fit_is_answered(self):
         # P^7 at degree 20: the walk's 296,010 nodes plus the 888,030
@@ -496,23 +502,38 @@ def test_enumeration_matches_full_search(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(searches(), hst.one_of(hst.integers(-2, 1), hst.integers(-3000, 3000)))
-def test_cap_trips_when_the_work_passes_it(case, offset):
+@given(searches(), hst.one_of(hst.integers(-2, 1), hst.integers(-3000, 3000)),
+       hst.booleans())
+def test_cap_trips_when_the_work_passes_it(case, offset, lex):
     """The cap trips exactly when the nodes of the walk over the exponents
-    before t plus the monomials pass it, at a cap near that work or
-    anywhere in the walk.  That work is at most the nodes of the search
-    of every value of every exponent."""
+    before t, in the lexicographic or the counting order, plus the
+    monomials pass it, at a cap near that work or anywhere in the walk.
+    The lexicographic work is at most the nodes of the search of every
+    value of every exponent.  The leaves of either order hold the
+    monomials of the degree."""
     setup, alpha = case
     want, full = oracles.monomials_by_full_search(alpha, setup, range(setup.r))
-    _, nodes = oracles.monomials_by_full_search(alpha, setup, range(setup._plan[6]))
-    assert nodes + len(want) <= full
+    order = (tuple(range(setup.r)) if lex
+             else grading._counting_order(alpha, setup))
+    lead, fs = setup._plan(order)[2], setup._bounds[1]
+    _, nodes = oracles.monomials_by_full_search(alpha, setup, order[:lead],
+                                                functionals=fs)
+    if lex:
+        assert nodes + len(want) <= full
     cap = max(1, nodes + len(want) + offset)
     with mock.patch.object(grading, "MONOMIAL_SEARCH_CAP", cap):
         if nodes + len(want) > cap:
             with pytest.raises(CapExceededError):
-                grading._enumerate_solutions(alpha, setup)
-        else:
-            assert grading._enumerate_solutions(alpha, setup) == want
+                grading._leaves(alpha, setup, lex)
+            return
+        leaves = grading._leaves(alpha, setup, lex)
+    assert leaves.work == nodes + len(want) and leaves.size == len(want)
+    got = [tuple(x + i * s for x, s in zip(a, leaves.step))
+           for a, n in leaves.starts() for i in range(n)]
+    assert sorted(got) == want
+    assert leaves.least() == (want[0] if want else None)
+    if lex:
+        assert grading._enumerate_solutions(alpha, setup) == want
 
 
 def all_cones(r, size):
