@@ -371,19 +371,23 @@ def monomial_text(exps) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _minor_rows(u, v):
+    """The first rows i1 < i2 on which the columns u and v have a nonzero
+    2x2 minor, or None when they are dependent."""
+    return next(((i1, i2) for i1 in range(len(u)) for i2 in range(i1 + 1, len(u))
+                 if u[i1] * v[i2] != u[i2] * v[i1]), None)
+
+
 def _solved_block(cols, k):
     """(size, D, adj, checks) for the trailing exponents solved by
     Cramer's rule: the last two when their columns have a nonzero 2x2
-    minor (on the first rows i1 < i2 that give one), else the last
-    alone, from its first nonzero row.  For the remainder y, exponent l
-    of the block is adj[l] . y / D with D > 0, and y is reached exactly
-    when also checks . y = 0 for every row of checks (one per other row
-    of beta on which the block is not automatic)."""
+    minor (on the rows `_minor_rows` gives), else the last alone, from
+    its first nonzero row.  For the remainder y, exponent l of the block
+    is adj[l] . y / D with D > 0, and y is reached exactly when also
+    checks . y = 0 for every row of checks (one per other row of beta on
+    which the block is not automatic)."""
     block = cols[-2:]
-    pair = next(
-        ((i1, i2) for i1 in range(k) for i2 in range(i1 + 1, k)
-         if block[0][i1] * block[1][i2] != block[0][i2] * block[1][i1]),
-        None)
+    pair = _minor_rows(*block) if len(block) == 2 else None
     adj = []
     if pair:
         (i1, i2), (u, v) = pair, block
@@ -482,9 +486,7 @@ def _counting_order(alpha_free, setup):
     ranked = sorted(range(setup.r), key=bound.__getitem__)
     last = cols[ranked[-1]]
     pair = next((j for j in reversed(ranked[:-1])
-                 if any(x * last[i + 1 + h] != y * last[i]
-                        for i, x in enumerate(cols[j])
-                        for h, y in enumerate(cols[j][i + 1:]))), None)
+                 if _minor_rows(cols[j], last)), None)
     if pair is not None:
         ranked.remove(pair)
         ranked.insert(-1, pair)
@@ -509,15 +511,15 @@ def _walk(alpha_free, setup, order):
 
     The work is the nodes the walk visits plus the monomials it finds:
     each walk node adds its children, each leaf the length of its
-    progression.  CapExceededError is raised as soon as it passes
-    MONOMIAL_SEARCH_CAP."""
+    progression.  The walk stops as soon as its work passes
+    MONOMIAL_SEARCH_CAP, and then its size counts the monomials found
+    by then, that leaf's too."""
     cols, fcols, lead, D, adj, Q, checks, step = setup._plan(order)
     target = list(alpha_free)
     buds = [sum(map(mul, f, target)) for f in setup._bounds[1]]
     if min(buds) < 0:
         return _Leaves(order, step, [], 0, 1)
     cap = MONOMIAL_SEARCH_CAP
-    passed = f"monomial search passed {cap} nodes and monomials"
     a = [0] * lead  # the exponents before t
     records = []
     work = 1  # the root
@@ -556,9 +558,9 @@ def _walk(alpha_free, setup, order):
             return
         n = (hi - first) // e + 1
         work += n
-        if work > cap:
-            raise CapExceededError(passed)
         size += n
+        if work > cap:
+            raise _Stop
         records.extend(a)
         records.append(first)
         records.extend([(p - first * q) // D for p, q in zip(P, Q)])
@@ -573,7 +575,7 @@ def _walk(alpha_free, setup, order):
         top = min([b // c for b, c in zip(buds, fc) if c > 0]) + 1
         work += top
         if work > cap:
-            raise CapExceededError(passed)
+            raise _Stop
         rem, buds = list(rem), list(buds)
         for v in range(top):
             a[pos] = v
@@ -583,24 +585,39 @@ def _walk(alpha_free, setup, order):
             for i, c in enumerate(fc):
                 buds[i] -= c
 
-    walk(0, target, buds)
+    try:
+        walk(0, target, buds)
+    except _Stop:
+        pass
     return _Leaves(order, step, records, size, work)
+
+
+class _Stop(Exception):
+    """Ends a walk whose work passed the cap."""
 
 
 def _leaves(alpha_free, setup, lex=False):
     """The leaves of the degree-alpha_free piece: walked in the
     exponents' own order when lex, so that they list the monomials in
-    lexicographic order, else in `_counting_order`.  The last walk is
-    kept; taken again, it is refused again if its work passes the cap."""
+    lexicographic order, else in `_counting_order`.  CapExceededError
+    is raised when the work passes MONOMIAL_SEARCH_CAP.  A count whose
+    walk passes it walks again in the exponents' own order, unless the
+    monomials found already pass it, so a count is refused only where a
+    listing is.  The last walk is kept; taken again with the cap below
+    its work, it is walked again."""
+    cap = MONOMIAL_SEARCH_CAP
+    own = tuple(range(setup.r))
     key = (tuple(alpha_free), lex)
     last, leaves = setup._last_walk
-    if last != key:
-        leaves = _walk(alpha_free, setup, tuple(range(setup.r)) if lex
-                       else _counting_order(alpha_free, setup))
-        setup._last_walk = (key, leaves)
-    elif leaves.work > MONOMIAL_SEARCH_CAP:
-        raise CapExceededError(
-            f"monomial search passed {MONOMIAL_SEARCH_CAP} nodes and monomials")
+    if last == key and leaves.work <= cap:
+        return leaves
+    order = own if lex else _counting_order(alpha_free, setup)
+    leaves = _walk(alpha_free, setup, order)
+    if leaves.work > cap and order != own and leaves.size <= cap:
+        leaves = _walk(alpha_free, setup, own)
+    if leaves.work > cap:
+        raise CapExceededError(f"monomial search passed {cap} nodes and monomials")
+    setup._last_walk = (key, leaves)
     return leaves
 
 
@@ -617,8 +634,9 @@ def _enumerate_solutions(alpha_free, setup):
 
 
 # a count of more leaf entries than this forms them with numpy, whose
-# set-up costs more than forming a few dozen in Python
-_NUMPY_ENTRIES = 64
+# set-up (about 30 us) costs more than forming fewer in Python: on H_2's
+# leaves the two cost the same at 25 to 32 entries
+_NUMPY_ENTRIES = 32
 
 
 def leaf_classes(leaves, rows, moduli):
@@ -653,19 +671,20 @@ def leaf_classes(leaves, rows, moduli):
     many = sum(counts) > _NUMPY_ENTRIES and all(moduli)
     M = lcm(*moduli) if many else 0
     top = max(map(abs, chain.from_iterable(rows)), default=0) if many else 0
-    # the starts' labels in int64: exponents reduced mod M times rows, an
-    # entry of a leaf below m + (period - 1) m before it is reduced, and
-    # one int64 key per label
+    # in int64: a start's label is below r M top before it is reduced
+    # mod m, an entry of a leaf below m + (period - 1) m before it is,
+    # and one key per label below M^len(rows)
     if many and max(recs) < 2**63 and M * max(r * top, period,
                                               M ** (len(rows) - 1)) < 2**63:
         R = np.array(recs, dtype=np.int64).reshape(-1, r + 1)
         W = np.array([[row[j] for j in leaves.order] for row in rows],
                      dtype=np.int64).reshape(-1, r)
+        m = np.array(moduli)
         n = np.array(counts, dtype=np.int64)
         leaf = np.repeat(np.arange(n.size), n)
         i = np.arange(leaf.size) - np.repeat(np.cumsum(n) - n, n)
-        labels = ((R[:, :r] % M) @ W.T)[leaf] + i[:, None] * np.array(delta)
-        labels %= np.array(moduli)
+        labels = ((R[:, :r] % M) @ W.T % m)[leaf] + i[:, None] * np.array(delta)
+        labels %= m
         first = np.unique(labels @ (M ** np.arange(len(rows))),
                           return_index=True)[1]
         where = list(zip(leaf[first].tolist(), i[first].tolist()))

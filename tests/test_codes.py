@@ -440,6 +440,20 @@ class TestClassesFromLeaves:
             assert (hilbert_of_lattice(L, alpha, st)
                     == oracles.hilbert_by_cosets(L, alpha, st))
 
+    @given(hst.sampled_from(["h2", "h3", "p1113", "p12345", "blowup", "pointed_k5"]),
+           hst.sampled_from([10**6, 10**9, 10**20]), hst.booleans(), hst.data())
+    @settings(max_examples=80, deadline=None)
+    def test_coset_count_on_large_invariant_factors(self, name, span, full, data):
+        # generators with entries up to about span give invariant factors
+        # and Smith rows near and far past 2^63
+        st = class_setup(name, 11)
+        alpha = class_degree(st, data)
+        rng = random.Random(data.draw(hst.integers(0, 2**32)))
+        L = random_homogeneous_lattice(st, rng, extra=rng.randint(1, st.n),
+                                       span=span, contain_full=full)
+        assert (hilbert_of_lattice(L, alpha, st)
+                == oracles.hilbert_by_cosets(L, alpha, st))
+
     def test_near_the_cap_in_little_memory(self):
         # H_2 at (1575, 1575): work 4,967,553 for 4,965,976 monomials,
         # k = 50 read from 1,576 leaves of at most 10 entries each

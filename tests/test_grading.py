@@ -2,6 +2,7 @@
 
 import tracemalloc
 from itertools import combinations, product
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -508,32 +509,87 @@ def test_cap_trips_when_the_work_passes_it(case, offset, lex):
     """The cap trips exactly when the nodes of the walk over the exponents
     before t, in the lexicographic or the counting order, plus the
     monomials pass it, at a cap near that work or anywhere in the walk.
-    The lexicographic work is at most the nodes of the search of every
-    value of every exponent.  The leaves of either order hold the
-    monomials of the degree."""
+    The counting work is at most the lexicographic work, and that at most
+    the nodes of the search of every value of every exponent.  The leaves
+    of either order hold the monomials of the degree."""
     setup, alpha = case
     want, full = oracles.monomials_by_full_search(alpha, setup, range(setup.r))
-    order = (tuple(range(setup.r)) if lex
-             else grading._counting_order(alpha, setup))
-    lead, fs = setup._plan(order)[2], setup._bounds[1]
-    _, nodes = oracles.monomials_by_full_search(alpha, setup, order[:lead],
-                                                functionals=fs)
-    if lex:
-        assert nodes + len(want) <= full
-    cap = max(1, nodes + len(want) + offset)
+    work = {}
+    for key in (True, False):
+        order = (tuple(range(setup.r)) if key
+                 else grading._counting_order(alpha, setup))
+        lead, fs = setup._plan(order)[2], setup._bounds[1]
+        _, nodes = oracles.monomials_by_full_search(alpha, setup, order[:lead],
+                                                    functionals=fs)
+        work[key] = nodes + len(want)
+    assert work[False] <= work[True] <= full
+    cap = max(1, work[lex] + offset)
     with mock.patch.object(grading, "MONOMIAL_SEARCH_CAP", cap):
-        if nodes + len(want) > cap:
+        if work[lex] > cap:
             with pytest.raises(CapExceededError):
                 grading._leaves(alpha, setup, lex)
             return
         leaves = grading._leaves(alpha, setup, lex)
-    assert leaves.work == nodes + len(want) and leaves.size == len(want)
+    assert leaves.work == work[lex] and leaves.size == len(want)
     got = [tuple(x + i * s for x, s in zip(a, leaves.step))
            for a, n in leaves.starts() for i in range(n)]
     assert sorted(got) == want
     assert leaves.least() == (want[0] if want else None)
     if lex:
         assert grading._enumerate_solutions(alpha, setup) == want
+
+
+def test_a_count_refused_in_its_order_walks_again_in_lex_order():
+    """The counting order is a heuristic: here it walks 256 against the
+    lexicographic order's 215.  A cap between the two still answers the
+    count, by the lexicographic walk, so a count is refused only where a
+    listing is."""
+    setup = setup_from_beta([[3, 4, 3, 1, 1, 0], [1, 2, 0, 4, 3, 3]], 11)
+    alpha = (23, 25)
+    own = tuple(range(setup.r))
+    order = grading._counting_order(alpha, setup)
+    assert grading._walk(alpha, setup, order).work == 256
+    assert grading._walk(alpha, setup, own).work == 215
+    with mock.patch.object(grading, "MONOMIAL_SEARCH_CAP", 215):
+        leaves = grading._leaves(alpha, setup)
+        assert (leaves.order, leaves.work) == (own, 215)
+    with mock.patch.object(grading, "MONOMIAL_SEARCH_CAP", 214):
+        with pytest.raises(CapExceededError):
+            grading._leaves(alpha, setup)
+    # on h2_a5254 at (10^6, 4) the counting walk finds more monomials than
+    # the cap in five leaves: no order answers, and it is not walked again
+    setup = setup_from_beta([[1, -2, 1, 0], [0, 1, 0, 1]], 11)
+    with mock.patch.object(grading, "_walk", wraps=grading._walk) as walk:
+        with pytest.raises(CapExceededError):
+            grading._leaves((10**6, 4), setup)
+        assert walk.call_count == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.data())
+def test_leaf_labels_in_int64_are_those_in_python_ints(data):
+    """Near the sizes up to which `leaf_classes` forms labels in int64,
+    it finds the labels that Python ints find, and a monomial of each.
+    Starts near the modulus times rows near their bound make a start's
+    label, unreduced, nearly 2^63."""
+    r = data.draw(hst.integers(2, 4))
+    m = data.draw(hst.integers(10**9, 3 * 10**9))
+    top = (2**63 - 1) // (m * r)
+    row = [data.draw(hst.sampled_from([top, top - 1, -top]))
+           for _ in range(r)]
+    order = tuple(data.draw(hst.permutations(range(r))))
+    step = [data.draw(hst.integers(-3, 3)) for _ in range(r)]
+    records = []
+    for _ in range(data.draw(hst.integers(1, 6))):
+        records += [m - 1 - data.draw(hst.integers(0, 2)) for _ in range(r)]
+        records.append(data.draw(hst.integers(1, 40)))
+    n = sum(records[r::r + 1])
+    leaves = grading._Leaves(order, step, records, n, n)
+    got, firsts = grading.leaf_classes(leaves, [row], [m])
+    with mock.patch.object(grading, "_NUMPY_ENTRIES", 10**9):
+        want = grading.leaf_classes(leaves, [row], [m])[0]
+    assert sorted(got.tolist()) == sorted(want.tolist())
+    assert [[sum(map(mul, row, a)) % m] for a in firsts()] == got.tolist()
 
 
 def all_cones(r, size):
